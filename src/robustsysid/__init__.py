@@ -34,6 +34,7 @@ from .estimators import (
     EstimationResult,
     SolverConfig,
     estimation_error,
+    fit,
     least_squares,
     objective,
     polish_estimate,
@@ -87,6 +88,7 @@ __all__ = [
     "emit_plot_data",
     "estimation_error",
     "farkas_feasible",
+    "fit",
     "hovorka_continuous",
     "input_bound_constants",
     "kkt_certificate",

@@ -23,14 +23,12 @@ from . import __version__
 from .certificates import cnk_bound, eigen_condition, kkt_certificate
 from .complexity import (ComplexityInputs, PhaseScenario, phase_transition,
                          t_sample_auto_l1, t_sample_auto_l2, t_sample_input)
-from .estimators import (SolverConfig, least_squares, polish_estimate,
-                         solve_subgradient)
+from .estimators import SolverConfig, estimation_error, fit, least_squares
 from .experiments import (emit_plot_data, run_experiment, spec_from_dict,
-                          spec_to_dict)
+                          spec_to_dict, system_from_source)
 from .lti import (AttackSchedule, GaussianAttackConfig, InputPolicy,
-                  StealthAttackConfig, discretize_euler, hovorka_continuous,
-                  load_system_json, load_trajectory_csv, make_bernoulli,
-                  make_delta_spaced, random_stable_system, save_system_json,
+                  StealthAttackConfig, load_system_json, load_trajectory_csv,
+                  make_bernoulli, make_delta_spaced, save_system_json,
                   save_trajectory_csv, simulate)
 
 
@@ -69,21 +67,6 @@ def _json_line(payload) -> str:
 
 # ---------------------------------------------------------------------------
 # shared config resolution
-
-
-def _system_from_cfg(src, dt: float, seed: int):
-    """Returns (LtiSystem, input path or None) for a resolved system source."""
-    if src == "hovorka-default":
-        Ac, Bc, _ = hovorka_continuous()
-        return discretize_euler(Ac, Bc, dt), None
-    if isinstance(src, dict) and "file" in src:
-        return load_system_json(src["file"]), src["file"]
-    if isinstance(src, dict) and "random-stable" in src:
-        kw = dict(src["random-stable"])
-        return random_stable_system(int(kw["n"]), float(kw["rho"]),
-                                    int(kw.get("seed", seed)),
-                                    int(kw.get("m", 0))), None
-    raise ValueError(f"unrecognized system source: {src!r}")
 
 
 def _attack_from_cfg(d):
@@ -131,7 +114,8 @@ def _ints(text: str) -> tuple:
 
 def _run_simulate(cfg: dict) -> HandlerOutput:
     seed = int(cfg["seed"])
-    system, sys_input = _system_from_cfg(cfg["system"], float(cfg["dt"]), seed)
+    src = cfg["system"]
+    system = system_from_source(src, float(cfg["dt"]), seed)
     schedule = _schedule_from_cfg(cfg["attack"], int(cfg["T"]), seed)
     attack_cfg = _attack_from_cfg(cfg.get("attack_model"))
     policy = _policy_from_cfg(cfg.get("policy"))
@@ -143,7 +127,7 @@ def _run_simulate(cfg: dict) -> HandlerOutput:
         outputs.append(cfg["system_out"])
     print(f"simulate: T={traj.T} n={traj.n} m={traj.m} "
           f"attacks={len(schedule.times)} -> {cfg['out']}", file=sys.stderr)
-    inputs = (sys_input,) if sys_input else ()
+    inputs = (src["file"],) if isinstance(src, dict) and "file" in src else ()
     return HandlerOutput("", inputs, tuple(outputs))
 
 
@@ -153,31 +137,24 @@ def _run_estimate(cfg: dict) -> HandlerOutput:
     norm = cfg["norm"]
     if norm == "ls":
         A_hat, B_hat = least_squares(traj)
-        payload = {"A_hat": A_hat.tolist(),
-                   "B_hat": None if B_hat is None else B_hat.tolist(),
-                   "objective": None, "iterations": 0, "stop_reason": "closed-form"}
+        payload = {"objective": None, "iterations": 0,
+                   "stop_reason": "closed-form"}
     else:
         tol = cfg.get("tol")
         solver = SolverConfig(max_iters=int(cfg["max_iters"]),
                               tol=None if tol is None else float(tol),
                               warm_start=cfg["warm_start"])
-        res = solve_subgradient(traj, norm, solver)
-        if cfg.get("polish"):
-            pol = polish_estimate(traj, res.A_hat, res.B_hat, norm)
-            if pol is not None and pol.objective < res.objective:
-                res = pol
-        payload = {"A_hat": res.A_hat.tolist(),
-                   "B_hat": None if res.B_hat is None else res.B_hat.tolist(),
-                   "objective": res.objective, "iterations": res.iterations_used,
+        res = fit(traj, norm, solver, polish=bool(cfg.get("polish")))
+        A_hat, B_hat = res.A_hat, res.B_hat
+        payload = {"objective": res.objective, "iterations": res.iterations_used,
                    "stop_reason": res.stop_reason}
+    payload["A_hat"] = A_hat.tolist()
+    payload["B_hat"] = None if B_hat is None else B_hat.tolist()
     if cfg.get("system"):
         truth = load_system_json(cfg["system"])
         inputs.append(cfg["system"])
-        diff = np.asarray(payload["A_hat"]) - truth.A
-        err2 = float(np.sum(diff ** 2))
-        if truth.m and payload["B_hat"] is not None:
-            err2 += float(np.sum((np.asarray(payload["B_hat"]) - truth.B) ** 2))
-        payload["error_vs_truth"] = float(np.sqrt(err2))
+        payload["error_vs_truth"] = estimation_error(A_hat, truth.A, B_hat,
+                                                     truth.B)
     if cfg.get("out"):
         _write_json(cfg["out"], payload)
         return HandlerOutput("", tuple(inputs), (cfg["out"],))
@@ -255,8 +232,8 @@ def _run_bound(cfg: dict) -> HandlerOutput:
 
 
 def _scenario_from_cfg(d: dict, seed: int) -> PhaseScenario:
-    system, _ = _system_from_cfg(d.get("system", "hovorka-default"),
-                                 float(d.get("dt", 0.5)), seed)
+    system = system_from_source(d.get("system", "hovorka-default"),
+                                float(d.get("dt", 0.5)), seed)
     solver = SolverConfig(**d.get("solver", {}))
     return PhaseScenario(
         system=system,
@@ -280,8 +257,7 @@ def _run_phase(cfg: dict) -> HandlerOutput:
     curve = phase_transition(scenario, cfg["t_grid"], int(cfg["trials"]),
                              recovery_tol=cfg.get("recovery_tol"), seed=seed,
                              stop_after_threshold=bool(
-                                 cfg.get("stop_after_threshold", False)),
-                             threads=int(cfg.get("threads", 1)))
+                                 cfg.get("stop_after_threshold", False)))
     lines = ["T,success_rate,trials,threshold_flag"]
     for row in curve.rows:
         lines.append(f"{row.T},{row.success_rate!r},{row.trials},"
@@ -296,7 +272,7 @@ def _run_phase(cfg: dict) -> HandlerOutput:
 
 def _run_experiment(cfg: dict) -> HandlerOutput:
     spec = spec_from_dict(cfg["spec"])
-    result = run_experiment(spec, threads=int(cfg.get("threads", 1)))
+    result = run_experiment(spec)
     paths = emit_plot_data(result, cfg["out_dir"])
     print(f"experiment: wrote {len(paths)} files under {cfg['out_dir']}",
           file=sys.stderr)
@@ -322,8 +298,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="64-bit master seed (all randomness derives from it)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent trials (default 1)")
     common.add_argument("--manifest", default=None,
                         help="manifest path (default: derived from the output)")
 
@@ -540,7 +514,7 @@ def _cfg_phase(args) -> dict:
             "t_grid": t_grid, "trials": args.trials,
             "recovery_tol": args.recovery_tol,
             "stop_after_threshold": args.stop_after_threshold,
-            "seed": args.seed, "threads": args.threads, "out": args.out,
+            "seed": args.seed, "out": args.out,
             "manifest": _default_manifest(args, args.out, "phase")}
 
 
@@ -560,8 +534,7 @@ def _cfg_experiment(args) -> dict:
         payload["seed"] = args.seed
     spec = spec_from_dict(payload)  # validate + fill defaults now
     return {"spec": spec_to_dict(spec), "spec_file": args.spec,
-            "out_dir": args.out_dir, "threads": args.threads,
-            "seed": spec.seed,
+            "out_dir": args.out_dir, "seed": spec.seed,
             "manifest": _default_manifest(
                 args, str(args.out_dir).rstrip("/") + "/run", "experiment")}
 

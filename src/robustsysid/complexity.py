@@ -12,16 +12,14 @@ the empirical counterpart: recovery frequency as a function of the horizon.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
-from .estimators import (SolverConfig, canonical_kind, estimation_error,
-                         least_squares, polish_estimate, solve_scalar_exact,
-                         solve_subgradient)
+from .estimators import (SolverConfig, canonical_kind, estimation_error, fit,
+                         least_squares, solve_scalar_exact)
 from .lti import (GaussianAttackConfig, InputPolicy, LtiSystem,
                   StealthAttackConfig, make_bernoulli, make_delta_spaced,
                   simulate)
@@ -264,24 +262,14 @@ def _run_trial(scenario: PhaseScenario, T: int, master_seed: int, index: int,
     elif scenario._scalar_exact():
         A_hat, B_hat = np.array([[solve_scalar_exact(traj).a_hat]]), None
     else:
-        res = solve_subgradient(traj, kind, scenario.solver)
-        if scenario.polish:
-            pol = polish_estimate(traj, res.A_hat, res.B_hat, kind)
-            if pol is not None and pol.objective < res.objective:
-                res = pol
+        res = fit(traj, kind, scenario.solver, scenario.polish)
         A_hat, B_hat = res.A_hat, res.B_hat
-
-    if sys_.m:
-        err = estimation_error(A_hat, sys_.A, B_hat, sys_.B)
-    else:
-        err = estimation_error(A_hat, sys_.A)
-    return err <= tol
+    return estimation_error(A_hat, sys_.A, B_hat, sys_.B) <= tol
 
 
 def phase_transition(scenario: PhaseScenario, T_grid, trials: int,
                      recovery_tol: float | None = None, seed: int = 0,
-                     stop_after_threshold: bool = False,
-                     threads: int = 1) -> PhaseCurve:
+                     stop_after_threshold: bool = False) -> PhaseCurve:
     """Empirical recovery curve over a horizon grid.
 
     For each T, runs ``trials`` independent simulate -> estimate -> certify
@@ -301,18 +289,13 @@ def phase_transition(scenario: PhaseScenario, T_grid, trials: int,
     rows = []
     threshold = None
     for T in T_grid:
-        def one(k: int, T=T) -> bool:
+        successes = 0
+        for k in range(trials):
             try:
-                return _run_trial(scenario, T, seed, k, tol)
+                successes += _run_trial(scenario, T, seed, k, tol)
             except Exception as exc:
                 raise RuntimeError(f"trial {k} at T={T} failed: {exc}") from exc
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(one, range(trials)))
-        else:
-            outcomes = [one(k) for k in range(trials)]
-        rate = sum(outcomes) / trials
+        rate = successes / trials
         hit = threshold is None and rate >= scenario.success_level
         if hit:
             threshold = T

@@ -7,13 +7,13 @@ linearly, so sparse-in-time attacks are absorbed by the residual instead of
 biasing (A, B). The scalar autonomous problem is solved exactly as a weighted
 median; everything else runs diminishing-step subgradient descent with
 best-iterate tracking, plus an optional certified refit that jumps from a
-near-solution to the exact minimizer.
+near-solution to the exact minimizer. ``fit`` chains the two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,12 +93,19 @@ def objective(traj: Trajectory, A, B=None, kind: str = "group-l2") -> float:
 
 
 def estimation_error(A_hat, A_true, B_hat=None, B_true=None) -> float:
-    """Frobenius error ||A_hat - A_true||_F, jointly over (A, B) when given."""
+    """Frobenius error ||A_hat - A_true||_F, jointly over (A, B) when given.
+
+    A B with no entries (the (n, 0) B of an autonomous system) counts as absent.
+    """
     A_hat = np.atleast_2d(np.asarray(A_hat, dtype=float))
     A_true = np.atleast_2d(np.asarray(A_true, dtype=float))
     if A_hat.shape != A_true.shape:
         raise ValueError(f"shape mismatch: {A_hat.shape} vs {A_true.shape}")
     err2 = float(np.sum((A_hat - A_true) ** 2))
+    if B_hat is not None and not np.size(B_hat):
+        B_hat = None
+    if B_true is not None and not np.size(B_true):
+        B_true = None
     if (B_hat is None) != (B_true is None):
         raise ValueError("give both B_hat and B_true or neither")
     if B_hat is not None:
@@ -165,17 +172,14 @@ class SolverConfig:
     subgradient so the initial move is ~5% of the coefficient scale,
     regardless of the state magnitudes. ``step_offset`` continues the
     schedule of an earlier run (warm-started refits keep shrinking instead of
-    restarting at eta0). ``certificate_interval`` > 0 checks KKT optimality of
-    the best iterate every that many iterations and stops early on success.
+    restarting at eta0).
     """
 
     max_iters: int = 20_000
     eta0: float | None = None
     tol: float | None = None
     warm_start: str = "least-squares"  # or "zero"
-    track: bool = True
     step_offset: int = 0
-    certificate_interval: int = 0
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -186,8 +190,8 @@ class SolverConfig:
             raise ValueError("tol must be >= 0")
         if self.warm_start not in ("zero", "least-squares"):
             raise ValueError("warm_start must be 'zero' or 'least-squares'")
-        if self.step_offset < 0 or self.certificate_interval < 0:
-            raise ValueError("step_offset and certificate_interval must be >= 0")
+        if self.step_offset < 0:
+            raise ValueError("step_offset must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -229,8 +233,7 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
     best iterate seen; the trace logs (iteration, best objective) on a sparse
     geometric grid. Stops on best objective <= tol (tol = None picks
     1e-9 * (1 + sum_t ||x_{t+1}||_2), so exact fits stop immediately at any
-    data scale), a confirmed optimality
-    certificate (config.certificate_interval > 0), or max_iters.
+    data scale) or at max_iters.
 
     ``theta0`` (stacked (n+m, n) coefficients, see EstimationResult.theta)
     overrides config.warm_start — used to chain refits across growing
@@ -310,11 +313,7 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
                 raise RuntimeError(
                     f"objective diverged at iteration {k + 1}; reduce eta0")
             iters = k + 1
-            if cfg.track:
-                if obj < best_obj:
-                    best_obj = obj
-                    best_theta[:] = theta
-            else:
+            if obj < best_obj:
                 best_obj = obj
                 best_theta[:] = theta
             if iters in log_at:
@@ -322,12 +321,6 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
             if best_obj <= stop_tol:
                 stop = "tolerance"
                 break
-            if cfg.certificate_interval and iters % cfg.certificate_interval == 0:
-                from .certificates import kkt_certificate
-                A_b, B_b = _split(best_theta, n, traj.m)
-                if kkt_certificate(traj, A_b, B_b, kind).verdict == "optimal":
-                    stop = "certificate"
-                    break
 
     if trace[-1][0] != iters:
         trace.append((iters, best_obj))
@@ -406,3 +399,19 @@ def polish_estimate(traj: Trajectory, A0, B0=None, kind: str = "group-l2",
     return EstimationResult(
         A_hat=A_cur, B_hat=B_cur, objective=obj_cur, residuals=R_cur,
         iterations_used=0, trace=((0, obj_cur),), kind=kind, stop_reason=stop)
+
+
+def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
+        polish: bool = True, theta0=None) -> EstimationResult:
+    """Subgradient fit, then (with ``polish``) the exact refit of its support.
+
+    The polished estimate replaces the fit only when its objective is
+    strictly lower. Either way the result reports the subgradient's
+    iteration count. Raises RuntimeError when the subgradient diverges.
+    """
+    res = solve_subgradient(traj, kind, config, theta0)
+    if polish:
+        pol = polish_estimate(traj, res.A_hat, res.B_hat, kind)
+        if pol is not None and pol.objective < res.objective:
+            return replace(pol, iterations_used=res.iterations_used)
+    return res

@@ -13,15 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import (SolverConfig, canonical_kind, estimation_error,
-                         least_squares, polish_estimate, solve_subgradient)
+from .estimators import (SolverConfig, canonical_kind, estimation_error, fit,
+                         least_squares)
 from .lti import (GaussianAttackConfig, InputPolicy, LtiSystem,
                   StealthAttackConfig, discretize_euler, hovorka_continuous,
                   load_system_json, make_bernoulli, random_stable_system,
@@ -84,19 +83,25 @@ class ExperimentSpec:
                            tuple(canonical_kind(e) for e in self.estimators))
 
 
-def resolve_system(spec: ExperimentSpec) -> LtiSystem:
-    src = spec.system_source
+def system_from_source(src, dt: float = 0.5, seed: int = 0) -> LtiSystem:
+    """The system named by a source: "hovorka-default" (discretized with step
+    ``dt``), {"file": path}, or {"random-stable": {"n", "rho", "seed", "m"}}
+    (``seed`` fills a missing "seed")."""
     if src == "hovorka-default":
         Ac, Bc, _ = hovorka_continuous()
-        return discretize_euler(Ac, Bc, spec.dt)
+        return discretize_euler(Ac, Bc, dt)
     if isinstance(src, dict) and "file" in src:
         return load_system_json(src["file"])
     if isinstance(src, dict) and "random-stable" in src:
         kw = dict(src["random-stable"])
         return random_stable_system(int(kw["n"]), float(kw["rho"]),
-                                    int(kw.get("seed", spec.seed)),
+                                    int(kw.get("seed", seed)),
                                     int(kw.get("m", 0)))
-    raise ValueError(f"unrecognized system_source: {src!r}")
+    raise ValueError(f"unrecognized system source: {src!r}")
+
+
+def resolve_system(spec: ExperimentSpec) -> LtiSystem:
+    return system_from_source(spec.system_source, spec.dt, spec.seed)
 
 
 def attack_config(spec: ExperimentSpec):
@@ -151,14 +156,13 @@ def _fit_trial(spec: ExperimentSpec, system: LtiSystem, policy: InputPolicy,
         for kind in spec.estimators:
             if kind == "least-squares":
                 A_hat, B_hat = least_squares(pre)
-                err = (estimation_error(A_hat, system.A, B_hat, system.B)
-                       if system.m else estimation_error(A_hat, system.A))
+                err = estimation_error(A_hat, system.A, B_hat, system.B)
                 cells.append(CellRecord(trial, T, kind, err, math.nan, 0,
                                         False, A_hat, B_hat))
                 continue
             solver = replace(spec.solver, step_offset=offset[kind])
             try:
-                res = solve_subgradient(pre, kind, solver, theta0=warm[kind])
+                res = fit(pre, kind, solver, spec.polish, theta0=warm[kind])
             except RuntimeError:
                 # divergence is recorded, not fatal; restart cold next time
                 warm[kind] = None
@@ -168,20 +172,15 @@ def _fit_trial(spec: ExperimentSpec, system: LtiSystem, policy: InputPolicy,
                                         None))
                 continue
             offset[kind] += res.iterations_used
-            if spec.polish:
-                pol = polish_estimate(pre, res.A_hat, res.B_hat, kind)
-                if pol is not None and pol.objective < res.objective:
-                    res = pol
             warm[kind] = res.theta()
-            err = (estimation_error(res.A_hat, system.A, res.B_hat, system.B)
-                   if system.m else estimation_error(res.A_hat, system.A))
+            err = estimation_error(res.A_hat, system.A, res.B_hat, system.B)
             cells.append(CellRecord(trial, T, kind, err, res.objective,
                                     res.iterations_used, False,
                                     res.A_hat, res.B_hat))
     return cells
 
 
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the study described by ``spec``; deterministic under its seed.
 
     Each trial simulates one trajectory of the longest horizon and refits all
@@ -197,15 +196,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         raise ValueError("input_xi > 0 needs a system with m >= 1")
     cfg = attack_config(spec)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(
-                lambda k: _fit_trial(spec, system, policy, cfg, k),
-                range(spec.trials)))
-    else:
-        per_trial = [_fit_trial(spec, system, policy, cfg, k)
-                     for k in range(spec.trials)]
-    cells = tuple(c for chunk in per_trial for c in chunk)
+    cells = tuple(c for k in range(spec.trials)
+                  for c in _fit_trial(spec, system, policy, cfg, k))
 
     aggregates = []
     for kind in spec.estimators:

@@ -318,6 +318,39 @@ def _draw_direction(n: int, rng) -> np.ndarray:
             return g / norm
 
 
+# Every sampler maps (cfg, n, prev, rng_dir, rng_len) to (d, history): one
+# disturbance vector and the state the next attack depends on (the signed
+# length for stealth, the vector itself for gaussian; prev is None at first).
+
+
+def _sample_stealth(cfg: StealthAttackConfig, n: int, prev, rng_dir, rng_len):
+    length = _next_length(cfg, prev, rng_len)
+    while length == 0.0:  # measure-zero guard: attack vectors must be nonzero
+        length = _draw_length(cfg, rng_len)
+    return length * _draw_direction(n, rng_dir), length
+
+
+def _sample_gaussian(cfg: GaussianAttackConfig, n: int, prev, rng_dir, rng_len):
+    # the values come from rng_dir; rng_len draws the coupling signs
+    scale = math.sqrt(cfg.variance)
+    while True:
+        d = scale * rng_dir.standard_normal(n)
+        beta = cfg.history_coupling
+        if beta > 0.0 and prev is not None:
+            signs = np.where(rng_len.random(n) < 0.5, 1.0, -1.0)
+            d = math.sqrt(1.0 - beta * beta) * d + beta * signs * np.abs(prev)
+        if cfg.support is not None:
+            keep = np.zeros(n, dtype=bool)
+            keep[list(cfg.support)] = True
+            d = np.where(keep, d, 0.0)
+        if np.any(d != 0.0):
+            return d, d
+
+
+_SAMPLERS = {StealthAttackConfig: _sample_stealth,
+             GaussianAttackConfig: _sample_gaussian}
+
+
 def sample_stealth_attack(cfg: StealthAttackConfig, n: int, history=None, rng=None,
                           length_rng=None) -> np.ndarray:
     """One disturbance vector l*f with ||f||_2 = 1 exactly.
@@ -332,27 +365,7 @@ def sample_stealth_attack(cfg: StealthAttackConfig, n: int, history=None, rng=No
         rng = np.random.default_rng(0)
     if length_rng is None:
         length_rng = rng
-    length = _next_length(cfg, history, length_rng)
-    while length == 0.0:  # measure-zero guard: attack vectors must be nonzero
-        length = _draw_length(cfg, length_rng)
-    f = _draw_direction(n, rng)
-    return length * f
-
-
-def _sample_gaussian_attack(cfg: GaussianAttackConfig, n: int, prev, rng, sign_rng):
-    scale = math.sqrt(cfg.variance)
-    while True:
-        d = scale * rng.standard_normal(n)
-        beta = cfg.history_coupling
-        if beta > 0.0 and prev is not None:
-            signs = np.where(sign_rng.random(n) < 0.5, 1.0, -1.0)
-            d = math.sqrt(1.0 - beta * beta) * d + beta * signs * np.abs(prev)
-        if cfg.support is not None:
-            keep = np.zeros(n, dtype=bool)
-            keep[list(cfg.support)] = True
-            d = np.where(keep, d, 0.0)
-        if np.any(d != 0.0):
-            return d
+    return _sample_stealth(cfg, n, history, rng, length_rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +433,9 @@ class Trajectory:
             raise ValueError("inconsistent trajectory array shapes")
         if self.schedule.T != T:
             raise ValueError("schedule horizon does not match trajectory length")
+        if not all(np.isfinite(a).all() for a in (states, inputs, dist)):
+            raise ValueError("trajectory states, inputs and disturbances "
+                             "must be finite")
         if np.any(states[0] != 0.0):
             raise ValueError("trajectories start at x_0 = 0")
         object.__setattr__(self, "states", states)
@@ -462,8 +478,8 @@ def simulate(system: LtiSystem, policy: InputPolicy, schedule: AttackSchedule,
         raise ValueError(f"{policy.kind} policy requires m >= 1")
     if schedule.times and attack_cfg is None:
         raise ValueError("schedule has attacks but no attack_cfg was given")
-    if attack_cfg is not None and not isinstance(
-            attack_cfg, (StealthAttackConfig, GaussianAttackConfig)):
+    sample = _SAMPLERS.get(type(attack_cfg))
+    if attack_cfg is not None and sample is None:
         raise TypeError("attack_cfg must be a Stealth/GaussianAttackConfig")
 
     T = schedule.T
@@ -475,23 +491,14 @@ def simulate(system: LtiSystem, policy: InputPolicy, schedule: AttackSchedule,
     inputs = np.zeros((T, m))
     dist = np.zeros((T, n))
     attacked = schedule.mask()
-    history = None  # previous signed length (stealth) / previous vector (gaussian)
+    history = None
 
     x = states[0]
     for i in range(T):
         u = _draw_input(policy, m, x, rng_u)
         inputs[i] = u
         if attacked[i]:
-            if isinstance(attack_cfg, StealthAttackConfig):
-                length = _next_length(attack_cfg, history, rng_len)
-                while length == 0.0:
-                    length = _draw_length(attack_cfg, rng_len)
-                d = length * _draw_direction(n, rng_dir)
-                history = length
-            else:
-                d = _sample_gaussian_attack(attack_cfg, n, history, rng_dir, rng_len)
-                history = d
-            dist[i] = d
+            dist[i], history = sample(attack_cfg, n, history, rng_dir, rng_len)
         x = system.A @ x + (system.B @ u if m else 0.0) + dist[i]
         peak = float(np.max(np.abs(x))) if n else 0.0
         if not peak <= OVERFLOW_LIMIT:  # catches NaN too
@@ -561,6 +568,9 @@ def load_trajectory_csv(path) -> Trajectory:
     dist = np.zeros((T, n))
     times = []
     for t, row in enumerate(body):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {t + 2} has {len(row)} fields, "
+                             f"the header has {len(header)}")
         if int(row[0]) != t:
             raise ValueError(f"{path}: non-contiguous time column at row {t}")
         states[t] = [float(v) for v in row[1:1 + n]]

@@ -100,6 +100,36 @@ def test_estimate_stdout_mode(capsys, tmp_path, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert np.asarray(payload["A_hat"]).shape == (1, 1)
     assert payload["objective"] >= 0.0
+    if payload["stop_reason"].startswith("polish"):
+        assert payload["iterations"] == 2000  # the subgradient's, not polish's
+
+
+def _blank_line(lines):
+    return lines[:3] + [""] + lines[3:]
+
+
+def _short_row(lines):
+    return lines[:3] + [",".join(lines[3].split(",")[:-2])] + lines[4:]
+
+
+def _nan_state(lines):
+    fields = lines[5].split(",")
+    fields[1] = "nan"
+    return lines[:5] + [",".join(fields)] + lines[6:]
+
+
+@pytest.mark.parametrize("corrupt", [_blank_line, _short_row, _nan_state])
+def test_estimate_rejects_bad_trajectory(capfd, tmp_path, monkeypatch, corrupt):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--random-stable", "2", "0.6", "--T", "40",
+               "--seed", "3", "--out", "t.csv") == 0
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    (tmp_path / "t.csv").write_text("\n".join(corrupt(lines)) + "\n")
+    capfd.readouterr()
+    assert run("estimate", "--traj", "t.csv", "--norm", "l2") == 1
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "SVD" not in err[0]
 
 
 def test_manifest_contents_and_digests(tmp_path, monkeypatch):

@@ -166,14 +166,13 @@ def test_phase_scalar_exact_path():
     assert all(r.threshold_flag == 0 for r in curve.rows[1:])
 
 
-def test_phase_reproducible_and_threaded():
+def test_phase_reproducible():
     sysd = random_stable_system(2, 0.5, seed=9)
     sc = PhaseScenario(system=sysd, attack="bernoulli", p=0.3,
                        estimator="l1", solver=SolverConfig(max_iters=400))
     a = phase_transition(sc, [8, 16], trials=8, seed=5)
     b = phase_transition(sc, [8, 16], trials=8, seed=5)
-    c = phase_transition(sc, [8, 16], trials=8, seed=5, threads=2)
-    assert a == b == c
+    assert a == b
 
 
 def test_phase_stop_after_threshold():

@@ -182,6 +182,10 @@ def test_estimation_error_joint():
     assert estimation_error(A1, A2) == pytest.approx(np.sqrt(2.0))
     joint = estimation_error(A1, A2, B1, B2)
     assert joint == pytest.approx(2.0)
+    # a zero-column B (autonomous system) counts as absent
+    empty = np.zeros((2, 0))
+    assert estimation_error(A1, A2, empty, empty) == estimation_error(A1, A2)
+    assert estimation_error(A1, A2, None, empty) == estimation_error(A1, A2)
     with pytest.raises(ValueError):
         estimation_error(A1, A2, B1, None)
 

@@ -1,5 +1,6 @@
 """Simulation-layer tests: systems, schedules, attack samplers, round-trips."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -224,6 +225,16 @@ def test_trajectory_requires_zero_start():
         Trajectory(states, np.zeros((2, 0)), np.zeros((2, 2)), AttackSchedule(2, ()))
 
 
+@pytest.mark.parametrize("field", ["states", "inputs", "disturbances"])
+def test_trajectory_rejects_non_finite(field):
+    arrays = {"states": np.zeros((3, 2)), "inputs": np.zeros((2, 1)),
+              "disturbances": np.zeros((2, 2))}
+    arrays[field][-1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(arrays["states"], arrays["inputs"], arrays["disturbances"],
+                   AttackSchedule(2, ()))
+
+
 def test_overflow_reports_step():
     sysd = LtiSystem(np.array([[2.0]]))  # rho = 2, explodes fast
     sched = make_delta_spaced(200, 2, 0)
@@ -246,6 +257,29 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.array_equal(back.inputs, traj.inputs)
     assert np.array_equal(back.disturbances, traj.disturbances)
     assert back.schedule.times == traj.schedule.times
+
+
+# SHA-256 of save_trajectory_csv output for fixed seeds. Any change to the
+# order or number of draws a sampler takes from its streams shifts the bytes.
+_PINNED_A = np.array([[0.5, 0.2, 0.0], [-0.1, 0.4, 0.3], [0.2, 0.0, 0.6]])
+_PINNED = {
+    "stealth": (None, InputPolicy(), 7,
+                StealthAttackConfig(sigma=2.0, history_coupling=0.5),
+                "724247853fe5cc0cd543b3a29c1a2d4568a2771438ff0e8819baf01c6b4d4e3e"),
+    "gaussian": (np.array([[1.0], [0.0], [0.5]]), InputPolicy("iid-gaussian", 1.0), 8,
+                 GaussianAttackConfig(10.0, support=(0, 2), history_coupling=0.5),
+                 "3256d2e13054761fe18abde8007448afee9f6b61927cb8d60732a683fceb52b5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_simulated_csv_bytes_pinned(tmp_path, case):
+    B, policy, seed, attack_cfg, digest = _PINNED[case]
+    traj = simulate(LtiSystem(_PINNED_A, B), policy, make_bernoulli(80, 0.5, seed),
+                    attack_cfg, seed)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(traj, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_system_json_roundtrip(tmp_path):
