@@ -1,11 +1,14 @@
 """Optimality certificates and deterministic exact-recovery conditions.
 
-Whether a candidate (A, B) minimizes the sum-of-norms objective reduces, per
-coordinate, to a box-constrained linear feasibility question: do multipliers
-w with ||w||_inf <= 1 exist with F w = g, where F collects the clean-time
-regressors and g the attack-time subgradient load? By duality this holds iff
-f(z) = z'g + ||z'F||_1 is nonnegative on the unit sphere, so every verdict
-ships a checkable witness: a feasible w, or a direction z with f(z) < 0.
+Whether a candidate (A, B) minimizes the sum-of-norms objective reduces to a
+linear feasibility question over the clean-time regressors z_i. For entry-l1
+it splits per coordinate into box systems: do multipliers w with
+||w||_inf <= 1 exist with F w = g, where F collects the free regressors and g
+the pinned subgradient load? By duality this holds iff f(z) = z'g + ||z'F||_1
+is nonnegative on the unit sphere. For group-l2 it is one matrix system: do
+columns v_i with ||v_i||_2 <= 1 solve sum_i v_i z_i' = G? Every verdict ships
+a checkable witness: a feasible w or V, or a direction z or Z along which the
+dual value is negative.
 
 Also here: the scalar clean-mass condition, the Krylov span condition and the
 eigenvalue-sum condition for periodic attacks, and the spectral-radius
@@ -20,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import canonical_kind, residual_matrix
+from .estimators import _regressors, canonical_kind, residual_matrix
 from .lti import Trajectory
 
 NET_BUDGET = 10_000_000  # hard cap on sphere-net evaluations
@@ -28,8 +31,8 @@ NET_BUDGET = 10_000_000  # hard cap on sphere-net evaluations
 
 @dataclass(frozen=True)
 class FarkasInstance:
-    """One coordinate's feasibility system: columns of F are clean-time
-    regressors (scaled 1/sqrt(n) for the group-l2 check), g the attack load."""
+    """One coordinate's box-feasibility system: columns of F are the free
+    regressors, g the pinned subgradient load."""
 
     F: np.ndarray
     g: np.ndarray
@@ -47,7 +50,9 @@ class FarkasInstance:
 
 @dataclass(frozen=True)
 class SystemReport:
-    """Per-coordinate outcome inside a Certificate, with its own witness."""
+    """One system's outcome inside a Certificate, with its own witness. For
+    "l2-ball", F holds the clean regressors as columns, g is G flattened, w
+    the matrix V (one column per clean time) and z the direction Z."""
 
     label: str
     verdict: str
@@ -353,20 +358,19 @@ def _ball_feasible(columns: np.ndarray, G: np.ndarray, tol: float,
 
 
 def kkt_certificate(traj: Trajectory, A_hat, B_hat=None, kind: str = "group-l2",
-                    tol: float = 1e-8, support_tol: float | None = None,
-                    escalate: bool = True) -> Certificate:
+                    tol: float = 1e-8, support_tol: float | None = None) -> Certificate:
     """Certify whether (A_hat, B_hat) minimizes the sum-of-norms objective.
 
     Splits times into estimated support (residual norm > support_tol) and
-    clean, then checks one box-feasibility system per state coordinate l with
-    regressor columns z_i = (x_i, u_i) and load g_l = sum over support of the
-    l-th subgradient entry times z_i. For entry-l1 the system is exact and a
-    time enters column l's system as free whenever its l-th residual entry is
-    small (attack times with a zero entry keep that coordinate's freedom).
-    For group-l2 the columns carry a 1/sqrt(n) scale, which makes box
-    feasibility sufficient but not necessary; on box failure the exact
-    ball-constrained system over matrices decides (escalate=True), with a
-    violating direction Z as witness when infeasible.
+    clean, with regressors z_i = (x_i, u_i). Entry-l1 checks one exact
+    box-feasibility system per state coordinate l with load g_l = sum over
+    the times pinned in coordinate l of sign(r_il) z_i; a time enters column
+    l's system as free whenever its l-th residual entry is small (attack
+    times with a zero entry keep that coordinate's freedom). Group-l2 checks
+    the exact matrix system "l2-ball": some V with ||v_i||_2 <= 1 over the
+    clean times solves sum_i v_i z_i' = G, where G is minus the support's
+    subgradient load; its margin is the Frobenius residual (optimal, witness
+    V) or the dual value of a violating direction Z (not-optimal).
 
     support_tol defaults to 1e-6 * (1 + median residual norm); residual norms
     within a factor 10 of it are flagged as ambiguous.
@@ -378,69 +382,42 @@ def kkt_certificate(traj: Trajectory, A_hat, B_hat=None, kind: str = "group-l2",
     norms = np.linalg.norm(R, axis=1)
     if support_tol is None:
         support_tol = 1e-6 * (1.0 + float(np.median(norms)))
-    n, m = traj.n, traj.m
-    Zfull = np.hstack([traj.states[:-1], traj.inputs]) if m else traj.states[:-1]
+    Z, _ = _regressors(traj)
 
-    flags = []
+    flags = ()
     amb = int(np.sum((norms > 0.1 * support_tol) & (norms < 10.0 * support_tol)))
     if amb:
-        flags.append(f"support-ambiguous:{amb}")
+        flags = (f"support-ambiguous:{amb}",)
 
-    sup = norms > support_tol
+    if kind == "group-l2":
+        sup = norms > support_tol
+        G = -((R[sup] / np.maximum(norms[sup], 1e-300)[:, None]).T @ Z[sup])
+        verdict, margin, V, Zdir = _ball_feasible(Z[~sup], G, tol=tol)
+        report = SystemReport("l2-ball", verdict, margin, Z[~sup].T, G.ravel(),
+                              V, Zdir)
+        return Certificate(verdict, margin, witness_z=Zdir, flags=flags,
+                           systems=(report,))
+
     reports = []
-
-    if kind == "entry-l1":
-        for l in range(n):
-            pinned = np.abs(R[:, l]) > support_tol
-            g_l = Zfull[pinned].T @ np.sign(R[pinned, l])
-            sub = farkas_feasible(Zfull[~pinned].T, g_l, tol=tol)
-            reports.append(SystemReport(f"coord-{l}", sub.verdict, sub.margin,
-                                        Zfull[~pinned].T, g_l,
-                                        sub.witness_w, sub.witness_z))
-        verdicts = {r.verdict for r in reports}
-        if verdicts == {"optimal"}:
-            margin = max(r.margin for r in reports)
-            return Certificate("optimal", margin, flags=tuple(flags),
-                               systems=tuple(reports))
-        if "not-optimal" in verdicts:
-            bad = min((r for r in reports if r.verdict == "not-optimal"),
-                      key=lambda r: r.margin)
-            return Certificate("not-optimal", bad.margin, witness_z=bad.z,
-                               flags=tuple(flags), systems=tuple(reports))
-        worst = max(r.margin for r in reports if r.verdict != "not-optimal")
-        return Certificate("inconclusive", worst, flags=tuple(flags),
-                           systems=tuple(reports))
-
-    # group-l2: per-coordinate box systems with 1/sqrt(n) column scaling
-    scale = 1.0 / math.sqrt(n)
-    Fmat = Zfull[~sup].T * scale
-    subgrad = R[sup] / np.maximum(norms[sup], 1e-300)[:, None]
-    for l in range(n):
-        g_l = Zfull[sup].T @ subgrad[:, l]
-        sub = farkas_feasible(Fmat, g_l, tol=tol)
+    for l in range(traj.n):
+        pinned = np.abs(R[:, l]) > support_tol
+        g_l = Z[pinned].T @ np.sign(R[pinned, l])
+        sub = farkas_feasible(Z[~pinned].T, g_l, tol=tol)
         reports.append(SystemReport(f"coord-{l}", sub.verdict, sub.margin,
-                                    Fmat, g_l, sub.witness_w, sub.witness_z))
-    if all(r.verdict == "optimal" for r in reports):
-        return Certificate("optimal", max(r.margin for r in reports),
-                           flags=tuple(flags), systems=tuple(reports))
-    if not escalate:
-        worst = min(r.margin for r in reports)
-        return Certificate("inconclusive", worst, flags=tuple(flags),
+                                    Z[~pinned].T, g_l,
+                                    sub.witness_w, sub.witness_z))
+    verdicts = {r.verdict for r in reports}
+    if verdicts == {"optimal"}:
+        margin = max(r.margin for r in reports)
+        return Certificate("optimal", margin, flags=flags,
                            systems=tuple(reports))
-
-    # exact matrix-valued check: sum over clean of v_i z_i' = G, ||v_i||_2 <= 1
-    flags.append("ball-check")
-    G = -(subgrad.T @ Zfull[sup])
-    verdict, margin, V, Zdir = _ball_feasible(Zfull[~sup], G, tol=tol)
-    reports.append(SystemReport("l2-ball", verdict, margin,
-                                Zfull[~sup].T, G.ravel(), None, Zdir))
-    if verdict == "optimal":
-        return Certificate("optimal", margin, flags=tuple(flags),
-                           systems=tuple(reports))
-    if verdict == "not-optimal":
-        return Certificate("not-optimal", margin, witness_z=Zdir,
-                           flags=tuple(flags), systems=tuple(reports))
-    return Certificate("inconclusive", margin, flags=tuple(flags),
+    if "not-optimal" in verdicts:
+        bad = min((r for r in reports if r.verdict == "not-optimal"),
+                  key=lambda r: r.margin)
+        return Certificate("not-optimal", bad.margin, witness_z=bad.z,
+                           flags=flags, systems=tuple(reports))
+    worst = max(r.margin for r in reports if r.verdict != "not-optimal")
+    return Certificate("inconclusive", worst, flags=flags,
                        systems=tuple(reports))
 
 

@@ -3,7 +3,9 @@
 Subcommands: simulate, estimate, certify, bound, phase, experiment, replay.
 Every run writes a manifest JSON (subcommand, fully resolved config, seed,
 tool version, SHA-256 digests of inputs/outputs/stdout); `replay --manifest M`
-re-executes the stored config and reproduces every output byte-for-byte.
+re-executes the stored config and reproduces every output byte-for-byte. It
+refuses to re-run (exit 1, nothing written) when an input's digest changed,
+and exits 1 when a re-run output's digest differs from the recorded one.
 Exit codes: 0 success, 1 validation/domain error, 2 I/O error. Diagnostics go
 to stderr; data only to files and stdout. No environment variables are
 consulted: all randomness flows from the --seed flag.
@@ -177,8 +179,7 @@ def _run_certify(cfg: dict) -> HandlerOutput:
         inputs.append(cfg["system"])
     cert = kkt_certificate(traj, A_hat, B_hat, kind=cfg["norm"],
                            tol=float(cfg["tol"]),
-                           support_tol=cfg.get("support_tol"),
-                           escalate=bool(cfg.get("escalate", True)))
+                           support_tol=cfg.get("support_tol"))
     payload = {
         "verdict": cert.verdict,
         "margin": cert.margin,
@@ -357,7 +358,11 @@ def build_parser() -> _Parser:
     est.add_argument("--out", default=None, help="output JSON (default stdout)")
 
     cert = sub.add_parser("certify", parents=[common],
-                          help="KKT optimality certificate for an estimate")
+                          help="KKT optimality certificate for an estimate",
+                          description="l1 checks one exact box system per "
+                                      "state coordinate, l2 the one exact "
+                                      "l2-ball system; each verdict comes "
+                                      "with a witness.")
     cert.add_argument("--traj", required=True)
     cert.add_argument("--norm", choices=["l1", "l2"], required=True)
     cg = cert.add_mutually_exclusive_group(required=True)
@@ -365,8 +370,6 @@ def build_parser() -> _Parser:
     cg.add_argument("--system", help="system JSON used as the candidate")
     cert.add_argument("--tol", type=float, default=1e-8)
     cert.add_argument("--support-tol", type=float, default=None)
-    cert.add_argument("--no-escalate", action="store_true",
-                      help="skip the exact l2-ball check on box failure")
     cert.add_argument("--out", default=None, help="output JSON (default stdout)")
 
     bnd = sub.add_parser("bound", parents=[common],
@@ -472,8 +475,7 @@ def _cfg_estimate(args) -> dict:
 def _cfg_certify(args) -> dict:
     return {"traj": args.traj, "norm": args.norm, "estimate": args.estimate,
             "system": args.system, "tol": args.tol,
-            "support_tol": args.support_tol,
-            "escalate": not args.no_escalate, "out": args.out,
+            "support_tol": args.support_tol, "out": args.out,
             "seed": args.seed,
             "manifest": _default_manifest(args, args.out, "certify")}
 
@@ -568,16 +570,27 @@ def _execute(cmd: str, cfg: dict) -> HandlerOutput:
     return out
 
 
+def _changed_files(digests: dict) -> list:
+    return [path for path, digest in digests.items() if _sha256(path) != digest]
+
+
 def _run_replay(manifest_path: str) -> HandlerOutput:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     cmd = manifest["subcommand"]
     if cmd not in HANDLERS:
         raise ValueError(f"manifest names unknown subcommand {cmd!r}")
+    changed = _changed_files(manifest["inputs"])
+    if changed:
+        raise ValueError(f"replay: inputs changed since the manifest was "
+                         f"written, nothing re-run: {', '.join(changed)}")
     out = _execute(cmd, manifest["config"])
-    for path, digest in manifest["outputs"].items():
-        if _sha256(path) != digest:
-            print(f"replay: digest changed for {path}", file=sys.stderr)
+    changed = _changed_files(manifest["outputs"])
+    if hashlib.sha256(out.stdout.encode()).hexdigest() != manifest["stdout_sha256"]:
+        changed.append("stdout")
+    if changed:
+        raise ValueError(f"replay: outputs differ from the manifest: "
+                         f"{', '.join(changed)}")
     return out
 
 

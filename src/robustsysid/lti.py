@@ -577,7 +577,12 @@ def load_trajectory_csv(path) -> Trajectory:
         if t < T:
             inputs[t] = [float(v) for v in row[1 + n:1 + n + m]]
             dist[t] = [float(v) for v in row[1 + n + m:1 + 2 * n + m]]
-            if row[-1] == "1":
+            attacked = row[-1] == "1"
+            if row[-1] not in ("0", "1") or attacked != bool(np.any(dist[t])):
+                raise ValueError(f"{path}: line {t + 2}: attacked is {row[-1]!r}, "
+                                 "but it must be 1 where the disturbance is "
+                                 "nonzero and 0 elsewhere")
+            if attacked:
                 times.append(t)
     schedule = AttackSchedule(T, tuple(times))
     return Trajectory(states, inputs, dist, schedule, seed=None)
@@ -598,13 +603,13 @@ def save_system_json(system: LtiSystem, path) -> None:
 
 
 def load_system_json(path) -> LtiSystem:
+    """Inverse of save_system_json. n and m come from the shapes of A and B
+    (no B: autonomous); optional n and m fields must agree with them."""
     with open(path) as fh:
         payload = json.load(fh)
-    A = np.asarray(payload["A"], dtype=float)
-    m = int(payload.get("m", 0))
-    B = np.asarray(payload["B"], dtype=float).reshape(A.shape[0], m) if m else None
-    system = LtiSystem(A, B)
-    if system.n != int(payload.get("n", system.n)):
+    system = LtiSystem(np.asarray(payload["A"], dtype=float), payload.get("B"))
+    if (system.n != int(payload.get("n", system.n))
+            or system.m != int(payload.get("m", system.m))):
         raise ValueError(f"{path}: dimension fields disagree with matrix shapes")
     return system
 

@@ -19,17 +19,20 @@ from robustsysid.certificates import (
     lemma2_condition,
     span_condition,
 )
-from robustsysid.estimators import least_squares, solve_scalar_exact
+from robustsysid.estimators import least_squares, residual_matrix, solve_scalar_exact
+from robustsysid.experiments import ExperimentSpec, attack_config, resolve_system
 from robustsysid.lti import (
     AttackSchedule,
     InputPolicy,
     LtiSystem,
     StealthAttackConfig,
     Trajectory,
+    make_bernoulli,
     make_delta_spaced,
     random_stable_system,
     simulate,
 )
+from robustsysid.rng import trial_seed
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +224,10 @@ def test_kkt_flags_not_optimal_ls_estimate():
     assert cert.witness_z is not None
 
 
+def _objective(traj, A):
+    return float(np.linalg.norm(residual_matrix(traj, A), axis=1).sum())
+
+
 def test_kkt_witnesses_reverify():
     traj = _attacked_scalar(0.55, T=31, delta=2, seed=5)
     A_ls, _ = least_squares(traj)
@@ -233,6 +240,29 @@ def test_kkt_witnesses_reverify():
             if rep.verdict == "not-optimal" and rep.label != "l2-ball":
                 assert farkas_value(rep.F, rep.g, rep.z) < 0.0
 
+    cert = kkt_certificate(traj, A_ls, kind="group-l2")
+    assert cert.verdict == "not-optimal"
+    (rep,) = cert.systems
+    assert rep.label == "l2-ball"
+    Z = rep.z
+    assert ball_dual_value(rep.F.T, rep.g.reshape(Z.shape), Z) < 0.0
+    # the dual value is the objective's directional derivative along -Z
+    f0 = _objective(traj, A_ls)
+    assert any(_objective(traj, A_ls - 10.0 ** -k * Z) < f0 for k in range(1, 12))
+
+
+def test_kkt_group_l2_insulin_truth_prefix():
+    # 6-state insulin model, Gaussian attacks at p = 0.6: most rows corrupt
+    spec = ExperimentSpec(p=0.6)
+    system = resolve_system(spec)
+    seed = trial_seed(spec.seed, 0)
+    traj = simulate(system, InputPolicy(), make_bernoulli(2000, 0.6, seed),
+                    attack_config(spec), seed).prefix(300)
+    assert len(traj.schedule.times) > traj.T / 2
+    cert = kkt_certificate(traj, system.A, system.B, kind="group-l2")
+    assert cert.verdict == "optimal"
+    assert [r.label for r in cert.systems] == ["l2-ball"]
+
 
 def test_kkt_group_l2_at_truth_spaced():
     sysd = random_stable_system(2, 0.5, seed=13)
@@ -240,6 +270,13 @@ def test_kkt_group_l2_at_truth_spaced():
     traj = simulate(sysd, InputPolicy(), sched, StealthAttackConfig(sigma=2.0), seed=13)
     cert = kkt_certificate(traj, sysd.A, kind="group-l2")
     assert cert.verdict == "optimal"
+    assert [r.label for r in cert.systems] == ["l2-ball"]
+    (rep,) = cert.systems
+    V = rep.w  # one column per clean time, each inside the unit ball
+    assert np.max(np.linalg.norm(V, axis=0)) <= 1.0 + 1e-9
+    G = rep.g.reshape(V.shape[0], rep.F.shape[0])
+    assert np.linalg.norm(V @ rep.F.T - G) == pytest.approx(cert.margin, abs=1e-12)
+    assert cert.margin <= 1e-8
 
 
 def test_kkt_support_ambiguity_flag():

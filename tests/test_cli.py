@@ -118,7 +118,22 @@ def _nan_state(lines):
     return lines[:5] + [",".join(fields)] + lines[6:]
 
 
-@pytest.mark.parametrize("corrupt", [_blank_line, _short_row, _nan_state])
+def _set_attacked(lines, old, new):
+    # first data row whose attacked cell is `old` gets `new` instead
+    i = next(i for i in range(1, len(lines) - 1) if lines[i].endswith("," + old))
+    return lines[:i] + [lines[i][:-len(old)] + new] + lines[i + 1:]
+
+
+def _flipped_attack(lines):
+    return _set_attacked(lines, "1", "0")
+
+
+def _attacked_yes(lines):
+    return _set_attacked(lines, "0", "yes")
+
+
+@pytest.mark.parametrize("corrupt", [_blank_line, _short_row, _nan_state,
+                                     _flipped_attack, _attacked_yes])
 def test_estimate_rejects_bad_trajectory(capfd, tmp_path, monkeypatch, corrupt):
     monkeypatch.chdir(tmp_path)
     assert run("simulate", "--random-stable", "2", "0.6", "--T", "40",
@@ -130,6 +145,8 @@ def test_estimate_rejects_bad_trajectory(capfd, tmp_path, monkeypatch, corrupt):
     err = capfd.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert "SVD" not in err[0]
+    if corrupt in (_flipped_attack, _attacked_yes):
+        assert "t.csv: line " in err[0]
 
 
 def test_manifest_contents_and_digests(tmp_path, monkeypatch):
@@ -156,6 +173,56 @@ def test_replay_reproduces_bytes(tmp_path, monkeypatch):
     assert run("replay", "--manifest", "r.csv.manifest.json") == 0
     assert (tmp_path / "r.csv").read_bytes() == first
     assert (tmp_path / "r.csv.manifest.json").read_bytes() == first_manifest
+
+
+def test_replay_refuses_changed_input(capfd, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--random-stable", "2", "0.6", "--T", "60",
+               "--seed", "5", "--out", "sim.csv") == 0
+    assert run("estimate", "--traj", "sim.csv", "--norm", "ls",
+               "--out", "est.json") == 0
+    est = (tmp_path / "est.json").read_bytes()
+    manifest = (tmp_path / "est.json.manifest.json").read_bytes()
+    lines = (tmp_path / "sim.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = repr(float(fields[1]) + 1.0)
+    lines[3] = ",".join(fields)
+    (tmp_path / "sim.csv").write_text("\n".join(lines) + "\n")
+    capfd.readouterr()
+    assert run("replay", "--manifest", "est.json.manifest.json") == 1
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "sim.csv" in err[0]
+    assert (tmp_path / "est.json").read_bytes() == est
+    assert (tmp_path / "est.json.manifest.json").read_bytes() == manifest
+
+
+def test_replay_flags_changed_output(capfd, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("bound", "--cnk", "2", "1", "--out", "b.json") == 0
+    path = tmp_path / "b.json.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["outputs"]["b.json"] = "0" * 64
+    path.write_text(json.dumps(manifest))
+    capfd.readouterr()
+    assert run("replay", "--manifest", "b.json.manifest.json") == 1
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "b.json" in err[0]
+
+
+def test_replay_ignores_retired_escalate_key(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--random-stable", "2", "0.6", "--T", "40",
+               "--seed", "2", "--out", "t.csv", "--system-out", "s.json") == 0
+    assert run("certify", "--traj", "t.csv", "--norm", "l2",
+               "--system", "s.json", "--out", "c.json") == 0
+    cert = (tmp_path / "c.json").read_bytes()
+    path = tmp_path / "c.json.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["escalate"] = False
+    path.write_text(json.dumps(manifest))
+    assert run("replay", "--manifest", "c.json.manifest.json") == 0
+    assert (tmp_path / "c.json").read_bytes() == cert
+    assert [s["label"] for s in json.loads(cert)["systems"]] == ["l2-ball"]
 
 
 def test_replay_missing_manifest(tmp_path, monkeypatch):

@@ -295,6 +295,20 @@ def test_system_json_roundtrip(tmp_path):
     assert back.rho == pytest.approx(sysd.rho, abs=0.0)
 
 
+def test_system_json_inputs_from_b_shape(tmp_path):
+    path = tmp_path / "sys.json"
+    payload = {"A": [[0.5, 0.0], [0.0, 0.4]], "B": [[1.0], [2.0]]}
+    path.write_text(json.dumps(payload))
+    sysd = load_system_json(path)
+    assert sysd.m == 1 and np.array_equal(sysd.B, [[1.0], [2.0]])
+    for m in (0, 2):
+        path.write_text(json.dumps(dict(payload, m=m)))
+        with pytest.raises(ValueError, match="dimension fields"):
+            load_system_json(path)
+    path.write_text(json.dumps({"A": payload["A"]}))
+    assert load_system_json(path).m == 0
+
+
 def test_random_stable_system_hits_radius():
     for seed in (0, 1, 2):
         s = random_stable_system(4, 0.6, seed=seed)
