@@ -1,14 +1,15 @@
 """Optimality certificates and deterministic exact-recovery conditions.
 
 Whether a candidate (A, B) minimizes the sum-of-norms objective reduces to a
-linear feasibility question over the clean-time regressors z_i. For entry-l1
-it splits per coordinate into box systems: do multipliers w with
-||w||_inf <= 1 exist with F w = g, where F collects the free regressors and g
-the pinned subgradient load? By duality this holds iff f(z) = z'g + ||z'F||_1
-is nonnegative on the unit sphere. For group-l2 it is one matrix system: do
-columns v_i with ||v_i||_2 <= 1 solve sum_i v_i z_i' = G? Every verdict ships
-a checkable witness: a feasible w or V, or a direction z or Z along which the
-dual value is negative.
+feasibility question over the clean-time regressors z_i: do columns v_i with
+||v_i||_2 <= 1 solve sum_i v_i z_i' = G? Group-l2 asks it once, with v_i in
+R^n. Entry-l1 asks it once per coordinate with v_i in R^1, where the ball is
+the box: do multipliers w with ||w||_inf <= 1 exist with F w = g, where F
+collects the free regressors and g the pinned subgradient load? By duality
+this holds iff f(z) = z'g + ||z'F||_1 is nonnegative on the unit sphere. One
+projected-gradient solver, ``_ball_feasible``, decides both. Every verdict
+ships a checkable witness: a feasible w or V, or a direction z or Z along
+which the dual value is negative.
 
 Also here: the scalar clean-mass condition, the Krylov span condition and the
 eigenvalue-sum condition for periodic attacks, and the spectral-radius
@@ -66,7 +67,8 @@ class SystemReport:
 @dataclass(frozen=True)
 class Certificate:
     """verdict in {optimal, not-optimal, inconclusive}; margin is the worst
-    feasibility residual (optimal) or the dual value found (violation)."""
+    2-norm (Frobenius) feasibility residual (optimal, inconclusive) or the
+    dual value found (violation)."""
 
     verdict: str
     margin: float
@@ -85,79 +87,21 @@ def farkas_value(F, g, z) -> float:
     return float(z @ g + np.abs(z @ F).sum())
 
 
-def _box_lstsq(F, g, w):
-    # pin (near-)active coordinates at their bound, least-squares the rest;
-    # keep the candidate only if it reduces the residual
-    r_old = np.linalg.norm(F @ w - g)
-    for _ in range(3):
-        free = np.abs(w) < 1.0 - 1e-9
-        if not free.any():
-            break
-        rhs = g - F[:, ~free] @ w[~free]
-        sol, *_ = np.linalg.lstsq(F[:, free], rhs, rcond=None)
-        cand = w.copy()
-        cand[free] = sol
-        np.clip(cand, -1.0, 1.0, out=cand)
-        r_new = np.linalg.norm(F @ cand - g)
-        if r_new < r_old - 1e-15:
-            w, r_old = cand, r_new
-        else:
-            break
-    return w
-
-
 def farkas_feasible(F, g, tol: float = 1e-8, max_iters: int = 20_000) -> Certificate:
     """Decide solvability of Fw = g with w entrywise in [-1, 1].
 
-    Runs projected gradient on min ||Fw - g||^2 over the box (plus an
-    active-set least-squares refinement). Residual <= tol: verdict optimal
-    with witness w. Residual > 10*tol: verdict not-optimal; the normalized
-    residual direction z = (Fw - g)/||Fw - g|| satisfies f(z) = -||Fw - g||
-    at the exact box optimum, so the re-verified f(z) is strictly negative.
-    Residual in (tol, 10*tol]: inconclusive, margin reported.
+    The box [-1, 1] is the unit ball of R^1, so this is the one-row ball
+    system of ``_ball_feasible`` with columns F' and load g' (v_i = w_i).
+    Optimal: witness w, margin the 2-norm residual ||Fw - g|| <= tol.
+    Not-optimal: witness z = (Fw - g)/||Fw - g||, margin f(z) < 0 (the ball
+    direction Z is -z', since f(z) = ball_dual_value(F', g', -z')).
+    Inconclusive: witness w, margin the residual in (tol, 10*tol].
     """
     inst = FarkasInstance(F, g)
-    F, g = inst.F, inst.g
-    d, q = F.shape
-
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= tol:
-        return Certificate("optimal", gnorm, witness_w=np.zeros(q))
-
-    L2 = float(np.linalg.norm(F, 2)) ** 2 if q else 0.0
-    if q == 0 or L2 == 0.0:
-        z = -g / gnorm
-        return Certificate("not-optimal", farkas_value(F, g, z), witness_z=z)
-
-    # fast path: the minimum-norm unconstrained solution often sits inside the box
-    w, *_ = np.linalg.lstsq(F, g, rcond=None)
-    if np.max(np.abs(w)) <= 1.0 and np.linalg.norm(F @ w - g) <= tol:
-        return Certificate("optimal", float(np.linalg.norm(F @ w - g, np.inf)),
-                           witness_w=w)
-
-    np.clip(w, -1.0, 1.0, out=w)
-    step = 1.0 / L2
-    for it in range(max_iters):
-        grad = F.T @ (F @ w - g)
-        w_new = np.clip(w - step * grad, -1.0, 1.0)
-        moved = float(np.max(np.abs(w_new - w)))
-        w = w_new
-        if moved <= 1e-15:  # gradient mapping has vanished
-            break
-        if (it + 1) % 500 == 0:
-            w = _box_lstsq(F, g, w)
-    w = _box_lstsq(F, g, w)
-
-    r = F @ w - g
-    rnorm = float(np.linalg.norm(r))
-    if rnorm <= tol:
-        return Certificate("optimal", float(np.linalg.norm(r, np.inf)), witness_w=w)
-    z = r / rnorm
-    fz = farkas_value(F, g, z)
-    if rnorm > 10.0 * tol and fz < 0.0:
-        return Certificate("not-optimal", fz, witness_z=z)
-    return Certificate("inconclusive", rnorm, witness_w=w,
-                       witness_z=z if fz < 0 else None)
+    verdict, margin, V, Z = _ball_feasible(inst.F.T, inst.g[None, :], tol, max_iters)
+    return Certificate(verdict, margin,
+                       witness_w=None if V is None else V.ravel(),
+                       witness_z=None if Z is None else -Z.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +252,41 @@ def ball_dual_value(columns: np.ndarray, G: np.ndarray, Z: np.ndarray) -> float:
     return float(np.linalg.norm(Z @ columns.T, axis=0).sum() - np.sum(Z * G))
 
 
+def _refine(Zc: np.ndarray, G: np.ndarray, V: np.ndarray) -> np.ndarray:
+    # hold the columns on the sphere, least-squares the rest, scale back into
+    # the ball; keep the candidate only if it reduces the residual
+    r_old = np.linalg.norm(V @ Zc - G)
+    for _ in range(3):
+        free = np.linalg.norm(V, axis=0) < 1.0 - 1e-9
+        if not free.any():
+            break
+        rhs = G - V[:, ~free] @ Zc[~free]
+        sol, *_ = np.linalg.lstsq(Zc[free].T, rhs.T, rcond=None)
+        cand = V.copy()
+        cand[:, free] = sol.T
+        cand /= np.maximum(np.linalg.norm(cand, axis=0), 1.0)
+        r_new = np.linalg.norm(cand @ Zc - G)
+        if r_new < r_old - 1e-15:
+            V, r_old = cand, r_new
+        else:
+            break
+    return V
+
+
 def _ball_feasible(columns: np.ndarray, G: np.ndarray, tol: float,
                    max_iters: int = 50_000):
-    """Feasibility of { sum_i v_i z_i' = G, ||v_i||_2 <= 1 } by projected
-    gradient on the squared Frobenius residual. Returns (verdict, margin,
-    V or None, Z or None)."""
+    """Feasibility of { sum_i v_i z_i' = G, ||v_i||_2 <= 1 } for the z_i given
+    as the rows of ``columns`` and G of shape (n, d); with n = 1 the balls
+    are the box of ``farkas_feasible``.
+
+    Projected gradient on the squared Frobenius residual R, with an
+    active-set least-squares refinement every 500 steps and at the end.
+    ||R|| <= tol: optimal, witness V. ||R|| > 10*tol and a negative
+    re-verified ball_dual_value of the direction -R/||R|| (-||R|| at the
+    exact optimum): not-optimal, margin that value, witness the direction.
+    Otherwise inconclusive, margin ||R||, witness V. Returns (verdict,
+    margin, V or None, Z or None).
+    """
     n = G.shape[0]
     q = columns.shape[0]
     Zc = columns  # (q, d) rows z_i
@@ -332,19 +306,18 @@ def _ball_feasible(columns: np.ndarray, G: np.ndarray, tol: float,
     if cn.max() <= 1.0 and np.linalg.norm(V @ Zc - G) <= tol:
         return "optimal", float(np.linalg.norm(V @ Zc - G)), V, None
 
-    scale = np.maximum(cn, 1.0)
-    V = V / scale
-    step = 1.0 / spec ** 2
-    for _ in range(max_iters):
-        R = V @ Zc - G
-        V_new = V - step * (R @ Zc.T)
-        cn = np.linalg.norm(V_new, axis=0)
-        np.maximum(cn, 1.0, out=cn)
-        V_new /= cn
-        if float(np.max(np.abs(V_new - V))) <= 1e-15:
-            V = V_new
-            break
+    V = V / np.maximum(cn, 1.0)
+    Zs = Zc.T / spec ** 2  # gradient step 1/L folded into the regressors
+    for it in range(max_iters):
+        V_new = V - (V @ Zc - G) @ Zs
+        V_new /= np.maximum(np.sqrt((V_new * V_new).sum(axis=0)), 1.0)
+        moved = float(abs(V_new - V).max())
         V = V_new
+        if moved <= 1e-15:  # gradient mapping has vanished
+            break
+        if (it + 1) % 500 == 0:
+            V = _refine(Zc, G, V)
+    V = _refine(Zc, G, V)
 
     R = V @ Zc - G
     rnorm = float(np.linalg.norm(R))
@@ -393,19 +366,17 @@ def kkt_certificate(traj: Trajectory, A_hat, B_hat=None, kind: str = "group-l2",
         sup = norms > support_tol
         G = -((R[sup] / np.maximum(norms[sup], 1e-300)[:, None]).T @ Z[sup])
         verdict, margin, V, Zdir = _ball_feasible(Z[~sup], G, tol=tol)
-        report = SystemReport("l2-ball", verdict, margin, Z[~sup].T, G.ravel(),
-                              V, Zdir)
-        return Certificate(verdict, margin, witness_z=Zdir, flags=flags,
-                           systems=(report,))
-
-    reports = []
-    for l in range(traj.n):
-        pinned = np.abs(R[:, l]) > support_tol
-        g_l = Z[pinned].T @ np.sign(R[pinned, l])
-        sub = farkas_feasible(Z[~pinned].T, g_l, tol=tol)
-        reports.append(SystemReport(f"coord-{l}", sub.verdict, sub.margin,
-                                    Z[~pinned].T, g_l,
-                                    sub.witness_w, sub.witness_z))
+        reports = [SystemReport("l2-ball", verdict, margin, Z[~sup].T, G.ravel(),
+                                V, Zdir)]
+    else:
+        reports = []
+        for l in range(traj.n):
+            pinned = np.abs(R[:, l]) > support_tol
+            g_l = Z[pinned].T @ np.sign(R[pinned, l])
+            sub = farkas_feasible(Z[~pinned].T, g_l, tol=tol)
+            reports.append(SystemReport(f"coord-{l}", sub.verdict, sub.margin,
+                                        Z[~pinned].T, g_l,
+                                        sub.witness_w, sub.witness_z))
     verdicts = {r.verdict for r in reports}
     if verdicts == {"optimal"}:
         margin = max(r.margin for r in reports)

@@ -237,7 +237,8 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
 
     ``theta0`` (stacked (n+m, n) coefficients, see EstimationResult.theta)
     overrides config.warm_start — used to chain refits across growing
-    prefixes of one trajectory.
+    prefixes of one trajectory. Raises RuntimeError when the objective is not
+    finite at the start or becomes non-finite (divergence).
     """
     kind = canonical_kind(kind)
     if kind == "least-squares":
@@ -271,6 +272,8 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
         return float(np.abs(R).sum())
 
     obj = eval_objective(theta)
+    if not math.isfinite(obj):
+        raise RuntimeError("objective is not finite at the starting point")
     if cfg.eta0 is not None:
         eta0 = cfg.eta0
     else:
@@ -407,7 +410,8 @@ def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
 
     The polished estimate replaces the fit only when its objective is
     strictly lower. Either way the result reports the subgradient's
-    iteration count. Raises RuntimeError when the subgradient diverges.
+    iteration count. Raises RuntimeError when the subgradient's objective is
+    not finite.
     """
     res = solve_subgradient(traj, kind, config, theta0)
     if polish:

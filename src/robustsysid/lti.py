@@ -82,8 +82,10 @@ class LtiSystem:
         B = np.asarray(B, dtype=float)
         if B.ndim == 1:
             B = B.reshape(n, -1)
-        if B.shape[0] != n:
+        if B.ndim != 2 or B.shape[0] != n:
             raise ValueError(f"B must have {n} rows, got {B.shape}")
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise ValueError("A and B must be finite")
         B = _readonly(B)
         rho = spectral_radius(A)
         object.__setattr__(self, "A", A)
@@ -525,6 +527,11 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _csv_header(n: int, m: int) -> list:
+    return (["t"] + [f"x_{j}" for j in range(n)] + [f"u_{j}" for j in range(m)]
+            + [f"d_{j}" for j in range(n)] + ["attacked"])
+
+
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Write header t,x_*,u_*,d_*,attacked; one row per time step.
 
@@ -532,12 +539,10 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
     disturbance, and attacked cells are left empty.
     """
     n, m, T = traj.n, traj.m, traj.T
-    header = (["t"] + [f"x_{j}" for j in range(n)] + [f"u_{j}" for j in range(m)]
-              + [f"d_{j}" for j in range(n)] + ["attacked"])
     attacked = traj.schedule.mask()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_csv_header(n, m))
         for t in range(T):
             row = ([str(t)] + [_fmt(v) for v in traj.states[t]]
                    + [_fmt(v) for v in traj.inputs[t]]
@@ -549,7 +554,12 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def load_trajectory_csv(path) -> Trajectory:
-    """Inverse of save_trajectory_csv (seed is not stored in the CSV)."""
+    """Inverse of save_trajectory_csv (seed is not stored in the CSV).
+
+    The header must be the one save_trajectory_csv writes for its n and m,
+    and the terminal row must leave its input, disturbance and attacked
+    cells empty. Every error names the file and the line.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -557,8 +567,9 @@ def load_trajectory_csv(path) -> Trajectory:
     header = rows[0]
     n = sum(1 for h in header if h.startswith("x_"))
     m = sum(1 for h in header if h.startswith("u_"))
-    if header[0] != "t" or header[-1] != "attacked" or n == 0:
-        raise ValueError(f"{path}: unrecognized trajectory header")
+    if n == 0 or header != _csv_header(n, m):
+        raise ValueError(f"{path}: line 1: the header must read t, x_0.., u_0.., "
+                         "d_0.., attacked")
     body = rows[1:]
     T = len(body) - 1
     if T < 1:
@@ -568,22 +579,34 @@ def load_trajectory_csv(path) -> Trajectory:
     dist = np.zeros((T, n))
     times = []
     for t, row in enumerate(body):
+        where = f"{path}: line {t + 2}"
         if len(row) != len(header):
-            raise ValueError(f"{path}: line {t + 2} has {len(row)} fields, "
+            raise ValueError(f"{where} has {len(row)} fields, "
                              f"the header has {len(header)}")
-        if int(row[0]) != t:
-            raise ValueError(f"{path}: non-contiguous time column at row {t}")
-        states[t] = [float(v) for v in row[1:1 + n]]
-        if t < T:
-            inputs[t] = [float(v) for v in row[1 + n:1 + n + m]]
-            dist[t] = [float(v) for v in row[1 + n + m:1 + 2 * n + m]]
-            attacked = row[-1] == "1"
-            if row[-1] not in ("0", "1") or attacked != bool(np.any(dist[t])):
-                raise ValueError(f"{path}: line {t + 2}: attacked is {row[-1]!r}, "
-                                 "but it must be 1 where the disturbance is "
-                                 "nonzero and 0 elsewhere")
-            if attacked:
-                times.append(t)
+        if row[0] != str(t):
+            raise ValueError(f"{where}: time is {row[0]!r}, expected {t}")
+        terminal = t == T
+        if terminal and any(row[1 + n:]):
+            raise ValueError(f"{where}: the terminal row carries the state "
+                             "only; its u, d and attacked cells must be empty")
+        try:
+            values = [float(v) for v in (row[1:1 + n] if terminal else row[1:-1])]
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{where}: values must be finite")
+        states[t] = values[:n]
+        if terminal:
+            break
+        inputs[t] = values[n:n + m]
+        dist[t] = values[n + m:]
+        attacked = row[-1] == "1"
+        if row[-1] not in ("0", "1") or attacked != bool(np.any(dist[t])):
+            raise ValueError(f"{where}: attacked is {row[-1]!r}, but it must "
+                             "be 1 where the disturbance is nonzero and 0 "
+                             "elsewhere")
+        if attacked:
+            times.append(t)
     schedule = AttackSchedule(T, tuple(times))
     return Trajectory(states, inputs, dist, schedule, seed=None)
 
@@ -607,9 +630,11 @@ def load_system_json(path) -> LtiSystem:
     (no B: autonomous); optional n and m fields must agree with them."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or "A" not in payload:
+        raise ValueError(f"{path}: a system JSON is an object with a matrix A")
     system = LtiSystem(np.asarray(payload["A"], dtype=float), payload.get("B"))
-    if (system.n != int(payload.get("n", system.n))
-            or system.m != int(payload.get("m", system.m))):
+    if (payload.get("n", system.n) != system.n
+            or payload.get("m", system.m) != system.m):
         raise ValueError(f"{path}: dimension fields disagree with matrix shapes")
     return system
 

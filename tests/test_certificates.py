@@ -184,6 +184,29 @@ def test_ball_feasible_zero_columns():
         assert ball_dual_value(cols, G, Z) == pytest.approx(margin)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000), st.integers(2, 3), st.integers(1, 8),
+       st.integers(1, 4))
+def test_ball_feasible_witness_invariants(seed, n, q, d):
+    rng = np.random.default_rng(seed)
+    cols = rng.normal(0, 1, (q, d))
+    V0 = rng.normal(0, 1, (n, q))
+    V0 *= rng.uniform(0, 1, q) / np.linalg.norm(V0, axis=0)  # inside the ball
+    G = V0 @ cols
+    verdict, margin, V, Z = _ball_feasible(cols, G, tol=1e-8)
+    assert verdict == "optimal"
+    assert np.max(np.linalg.norm(V, axis=0)) <= 1.0 + 1e-9
+    assert np.linalg.norm(V @ cols - G) <= 1e-8
+    G = rng.uniform(1, 10) * G  # scaled up: feasible or refuted
+    verdict, margin, V, Z = _ball_feasible(cols, G, tol=1e-8)
+    assert verdict in ("optimal", "not-optimal")
+    if verdict == "optimal":
+        assert np.max(np.linalg.norm(V, axis=0)) <= 1.0 + 1e-9
+        assert np.linalg.norm(V @ cols - G) <= 1e-8
+    else:
+        assert ball_dual_value(cols, G, Z) == margin < 0.0
+
+
 # ---------------------------------------------------------------------------
 # kkt_certificate
 

@@ -1,10 +1,14 @@
 """End-to-end CLI tests driven through the in-process dispatcher."""
 
+import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from robustsysid.cli import dispatch
 
@@ -132,8 +136,25 @@ def _attacked_yes(lines):
     return _set_attacked(lines, "0", "yes")
 
 
+def _terminal_attack(lines):
+    # the terminal row (n = 2, m = 0) claims an attack with d_0 = 5
+    fields = lines[-1].split(",")
+    fields[3], fields[-1] = "5.0", "1"
+    return lines[:-1] + [",".join(fields)]
+
+
+def _disturbances_as_inputs(lines):
+    return [lines[0].replace("d_", "u_")] + lines[1:]
+
+
+def _misspelt_column(lines):
+    return [lines[0].replace("d_0", "dd")] + lines[1:]
+
+
 @pytest.mark.parametrize("corrupt", [_blank_line, _short_row, _nan_state,
-                                     _flipped_attack, _attacked_yes])
+                                     _flipped_attack, _attacked_yes,
+                                     _terminal_attack, _disturbances_as_inputs,
+                                     _misspelt_column])
 def test_estimate_rejects_bad_trajectory(capfd, tmp_path, monkeypatch, corrupt):
     monkeypatch.chdir(tmp_path)
     assert run("simulate", "--random-stable", "2", "0.6", "--T", "40",
@@ -145,8 +166,24 @@ def test_estimate_rejects_bad_trajectory(capfd, tmp_path, monkeypatch, corrupt):
     err = capfd.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert "SVD" not in err[0]
-    if corrupt in (_flipped_attack, _attacked_yes):
-        assert "t.csv: line " in err[0]
+    assert "t.csv: line " in err[0]
+
+
+def test_estimate_rejects_overflowing_start(capfd, tmp_path, monkeypatch):
+    # one finite state of 1e300 overflows the group-l2 objective at the start
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--random-stable", "2", "0.6", "--T", "40",
+               "--seed", "3", "--out", "t.csv") == 0
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[1] = "1e300"
+    lines[5] = ",".join(fields)
+    (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+    capfd.readouterr()
+    assert run("estimate", "--traj", "t.csv", "--norm", "l2") == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: objective is not finite at the starting point"]
 
 
 def test_manifest_contents_and_digests(tmp_path, monkeypatch):
@@ -259,3 +296,95 @@ def test_experiment_cli_with_overrides(tmp_path, monkeypatch):
     assert manifest["config"]["spec"]["seed"] == 7
     for name in ("errors_ls.csv", "errors_l2.csv", "errors_l1.csv"):
         assert (tmp_path / "out" / name).exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files: every malformed file gives exit 1 or 2 and one stderr line
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    assert run("simulate", "--random-stable", "2", "0.6", "--input-dim", "1",
+               "--policy", "iid-gaussian", "--T", "30", "--p", "0.3",
+               "--seed", "3", "--out", str(d / "t.csv"),
+               "--system-out", str(d / "s.json")) == 0
+    return d
+
+
+def _one_error_line(capfd, *argv):
+    capfd.readouterr()
+    code = run(*argv)
+    err = capfd.readouterr().err.splitlines()
+    assert code in (1, 2) and len(err) == 1, (code, err)
+
+
+FUZZ = settings(max_examples=80, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_trajectory_csv(capfd, monkeypatch, fuzz_dir, data):
+    monkeypatch.chdir(fuzz_dir)  # a manifest written by mistake lands here
+    with open(fuzz_dir / "t.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    n = sum(h.startswith("x_") for h in rows[0])
+    last = len(rows) - 1  # the terminal row
+    how = data.draw(st.sampled_from(
+        ["drop", "number", "rename", "terminal", "blank", "flip"]))
+    if how == "drop":
+        i = data.draw(st.integers(0, last))
+        del rows[i][data.draw(st.integers(0, len(rows[i]) - 1))]
+    elif how == "number":
+        i = data.draw(st.integers(1, last))
+        j = data.draw(st.integers(0, n if i == last else len(rows[i]) - 2))
+        rows[i][j] = data.draw(st.sampled_from(
+            ["abc", "", "1e", "nan", "NaN", "inf", "-inf"]))
+    elif how == "rename":
+        j = data.draw(st.integers(0, len(rows[0]) - 1))
+        rows[0][j] = data.draw(st.sampled_from(
+            ["", "dd", "x", "t", "x_2", "u_0", "u_1", "d_0", "attacked"]
+        ).filter(lambda v: v != rows[0][j]))
+    elif how == "terminal":
+        j = data.draw(st.integers(n + 1, len(rows[last]) - 1))
+        rows[last][j] = data.draw(st.sampled_from(["0", "1", "5.0", "nan", " "]))
+    elif how == "blank":
+        rows.insert(data.draw(st.integers(0, len(rows))), [])
+    else:
+        i = data.draw(st.integers(1, last - 1))
+        rows[i][-1] = "1" if rows[i][-1] == "0" else "0"
+    path = fuzz_dir / "bad.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    _one_error_line(capfd, "estimate", "--traj", str(path), "--norm", "ls")
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_system_json(capfd, monkeypatch, fuzz_dir, data):
+    monkeypatch.chdir(fuzz_dir)
+    payload = json.loads((fuzz_dir / "s.json").read_text())
+    how = data.draw(st.sampled_from(
+        ["ragged", "non-finite", "wrong-type", "dimension", "not-an-object"]))
+    if how in ("ragged", "non-finite"):
+        M = payload[data.draw(st.sampled_from(["A", "B"]))]
+        row = M[data.draw(st.integers(0, len(M) - 1))]
+        if how == "ragged":
+            row.pop()
+        else:
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif how == "wrong-type":
+        payload[data.draw(st.sampled_from(["A", "B", "n", "m"]))] = data.draw(
+            st.sampled_from(["x", "2", [2], {"k": 1}, [["a"]], None]))
+    elif how == "dimension":
+        key = data.draw(st.sampled_from(["n", "m"]))
+        payload[key] = data.draw(st.integers(-1, 4).filter(
+            lambda v: v != payload[key]))
+    else:
+        payload = data.draw(st.sampled_from([[], "A", 3, None, [payload["A"]]]))
+    path = fuzz_dir / "bad.json"
+    path.write_text(json.dumps(payload))
+    _one_error_line(capfd, "simulate", "--system", str(path), "--T", "10",
+                    "--out", str(fuzz_dir / "x.csv"))

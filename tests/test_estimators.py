@@ -242,6 +242,13 @@ def test_subgradient_divergence_names_iteration():
         solve_subgradient(traj, "group-l2", SolverConfig(max_iters=50, eta0=1e300))
 
 
+def test_subgradient_rejects_non_finite_start():
+    # finite data whose group-l2 objective overflows: ||r_1||^2 = 1e600
+    traj = _scalar_traj([0.0, 1e300, 1.0])
+    with pytest.raises(RuntimeError, match="not finite at the starting point"):
+        solve_subgradient(traj, "group-l2")
+
+
 def test_subgradient_theta0_chaining():
     sysd = random_stable_system(3, 0.7, seed=17)
     traj = simulate(sysd, InputPolicy(), make_delta_spaced(90, 3, 0),

@@ -309,6 +309,19 @@ def test_system_json_inputs_from_b_shape(tmp_path):
     assert load_system_json(path).m == 0
 
 
+def test_system_rejects_non_finite(tmp_path):
+    for A, B in (([[0.5, np.nan], [0.0, 0.4]], None),
+                 ([[0.5, 0.0], [0.0, 0.4]], [[np.inf], [0.0]])):
+        with pytest.raises(ValueError, match="A and B must be finite"):
+            LtiSystem(np.array(A), None if B is None else np.array(B))
+    path = tmp_path / "sys.json"
+    for text in ('{"A": [[0.5, NaN], [0.0, 0.4]]}',
+                 '{"A": [[0.5, 0.0], [0.0, 0.4]], "B": [[Infinity], [1.0]]}'):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="A and B must be finite"):
+            load_system_json(path)
+
+
 def test_random_stable_system_hits_radius():
     for seed in (0, 1, 2):
         s = random_stable_system(4, 0.6, seed=seed)
