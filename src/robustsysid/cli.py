@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ from . import __version__
 from .certificates import cnk_bound, eigen_condition, kkt_certificate
 from .complexity import (ComplexityInputs, PhaseScenario, phase_transition,
                          t_sample_auto_l1, t_sample_auto_l2, t_sample_input)
-from .estimators import SolverConfig, estimation_error, fit, least_squares
+from .estimators import SolverConfig, estimation_error, fit
 from .experiments import (emit_plot_data, run_experiment, spec_from_dict,
                           spec_to_dict, system_from_source)
 from .lti import (AttackSchedule, GaussianAttackConfig, InputPolicy,
@@ -136,27 +137,22 @@ def _run_simulate(cfg: dict) -> HandlerOutput:
 def _run_estimate(cfg: dict) -> HandlerOutput:
     traj = load_trajectory_csv(cfg["traj"])
     inputs = [cfg["traj"]]
-    norm = cfg["norm"]
-    if norm == "ls":
-        A_hat, B_hat = least_squares(traj)
-        payload = {"objective": None, "iterations": 0,
-                   "stop_reason": "closed-form"}
-    else:
-        tol = cfg.get("tol")
-        solver = SolverConfig(max_iters=int(cfg["max_iters"]),
-                              tol=None if tol is None else float(tol),
-                              warm_start=cfg["warm_start"])
-        res = fit(traj, norm, solver, polish=bool(cfg.get("polish")))
-        A_hat, B_hat = res.A_hat, res.B_hat
-        payload = {"objective": res.objective, "iterations": res.iterations_used,
-                   "stop_reason": res.stop_reason}
-    payload["A_hat"] = A_hat.tolist()
-    payload["B_hat"] = None if B_hat is None else B_hat.tolist()
+    tol = cfg.get("tol")
+    solver = SolverConfig(max_iters=int(cfg["max_iters"]),
+                          tol=None if tol is None else float(tol),
+                          warm_start=cfg["warm_start"])
+    res = fit(traj, cfg["norm"], solver, polish=bool(cfg.get("polish")))
+    payload = {
+        "objective": None if math.isnan(res.objective) else res.objective,
+        "iterations": res.iterations_used, "stop_reason": res.stop_reason,
+        "A_hat": res.A_hat.tolist(),
+        "B_hat": None if res.B_hat is None else res.B_hat.tolist(),
+    }
     if cfg.get("system"):
         truth = load_system_json(cfg["system"])
         inputs.append(cfg["system"])
-        payload["error_vs_truth"] = estimation_error(A_hat, truth.A, B_hat,
-                                                     truth.B)
+        payload["error_vs_truth"] = estimation_error(res.A_hat, truth.A,
+                                                     res.B_hat, truth.B)
     if cfg.get("out"):
         _write_json(cfg["out"], payload)
         return HandlerOutput("", tuple(inputs), (cfg["out"],))
@@ -169,6 +165,9 @@ def _run_certify(cfg: dict) -> HandlerOutput:
     if cfg.get("estimate"):
         with open(cfg["estimate"]) as fh:
             est = json.load(fh)
+        if not isinstance(est, dict) or "A_hat" not in est:
+            raise ValueError(f"{cfg['estimate']}: an estimate JSON is an "
+                             f"object with a matrix A_hat")
         A_hat = np.asarray(est["A_hat"], dtype=float)
         B_hat = None if est.get("B_hat") is None else np.asarray(est["B_hat"])
         inputs.append(cfg["estimate"])
@@ -209,13 +208,7 @@ def _run_bound(cfg: dict) -> HandlerOutput:
                    "boundary": res.boundary}
         text = _json_line(payload)
     else:
-        params = cfg["params"]
-        ci = ComplexityInputs(n=int(params["n"]), p=float(params["p"]),
-                              rho=float(params["rho"]), m=int(params.get("m", 0)),
-                              c=float(params.get("c", 1.0)),
-                              kappa=params.get("kappa"),
-                              delta=float(params.get("delta", 0.05)),
-                              multiplier=float(params.get("multiplier", 1.0)))
+        ci = ComplexityInputs(**cfg["params"])
         theorem = int(cfg["theorem"])
         if theorem in (2, 3):
             fn = t_sample_auto_l2 if theorem == 2 else t_sample_auto_l1
@@ -233,23 +226,16 @@ def _run_bound(cfg: dict) -> HandlerOutput:
 
 
 def _scenario_from_cfg(d: dict, seed: int) -> PhaseScenario:
-    system = system_from_source(d.get("system", "hovorka-default"),
-                                float(d.get("dt", 0.5)), seed)
-    solver = SolverConfig(**d.get("solver", {}))
-    return PhaseScenario(
-        system=system,
-        attack=d.get("attack", "bernoulli"),
-        p=float(d.get("p", 0.3)),
-        delta=int(d.get("delta", 2)),
-        first_attack=int(d.get("first_attack", 0)),
-        attack_cfg=_attack_from_cfg(d.get("attack_model")),
-        policy=_policy_from_cfg(d.get("policy")),
-        estimator=d.get("estimator", "entry-l1"),
-        solver=solver,
-        polish=bool(d.get("polish", True)),
-        success_level=float(d.get("success_level", 0.9)),
-        recovery_tol=d.get("recovery_tol"),
-    )
+    """PhaseScenario from a scenario object; keys other than the converted
+    ones pass through, so an unknown key fails and PhaseScenario alone holds
+    the defaults."""
+    d = dict(d)
+    system = system_from_source(d.pop("system", "hovorka-default"),
+                                float(d.pop("dt", 0.5)), seed)
+    return PhaseScenario(system=system,
+                         attack_cfg=_attack_from_cfg(d.pop("attack_model", None)),
+                         policy=_policy_from_cfg(d.pop("policy", None)),
+                         solver=SolverConfig(**d.pop("solver", {})), **d)
 
 
 def _run_phase(cfg: dict) -> HandlerOutput:

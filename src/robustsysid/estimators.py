@@ -4,10 +4,12 @@ Given one trajectory of x_{i+1} = A x_i + B u_i + d_i, the group-l2 estimator
 minimizes sum_t ||x_{t+1} - A x_t - B u_t||_2 and the entry-l1 estimator the
 same sum with ||.||_1. Both are convex and non-smooth; large residuals enter
 linearly, so sparse-in-time attacks are absorbed by the residual instead of
-biasing (A, B). The scalar autonomous problem is solved exactly as a weighted
-median; everything else runs diminishing-step subgradient descent with
-best-iterate tracking, plus an optional certified refit that jumps from a
-near-solution to the exact minimizer. ``fit`` chains the two.
+biasing (A, B). ``fit`` is the one entry point for every kind and picks the
+solver: least squares in closed form; a sum-of-norms fit of a scalar
+autonomous trajectory exactly, as a weighted median; everything else by
+diminishing-step subgradient descent with best-iterate tracking, then an
+optional certified refit that jumps from a near-solution to the exact
+minimizer.
 """
 
 from __future__ import annotations
@@ -60,11 +62,16 @@ def least_squares(traj: Trajectory):
 
 
 def residual_matrix(traj: Trajectory, A, B=None) -> np.ndarray:
-    """Implied disturbances d_hat_t = x_{t+1} - A x_t - B u_t, shape (T, n)."""
+    """Implied disturbances d_hat_t = x_{t+1} - A x_t - B u_t, shape (T, n).
+
+    Raises ValueError when A or B has the wrong shape or a non-finite entry.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = traj.n
     if A.shape != (n, n):
         raise ValueError(f"A must be {n}x{n}, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("A and B must be finite")
     R = traj.states[1:] - traj.states[:-1] @ A.T
     if traj.m:
         if B is None:
@@ -72,6 +79,8 @@ def residual_matrix(traj: Trajectory, A, B=None) -> np.ndarray:
         B = np.atleast_2d(np.asarray(B, dtype=float))
         if B.shape != (n, traj.m):
             raise ValueError(f"B must be {n}x{traj.m}, got {B.shape}")
+        if not np.isfinite(B).all():
+            raise ValueError("A and B must be finite")
         R = R - traj.inputs @ B.T
     elif B is not None and np.size(B):
         raise ValueError("autonomous trajectory but B was given")
@@ -237,8 +246,9 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
 
     ``theta0`` (stacked (n+m, n) coefficients, see EstimationResult.theta)
     overrides config.warm_start — used to chain refits across growing
-    prefixes of one trajectory. Raises RuntimeError when the objective is not
-    finite at the start or becomes non-finite (divergence).
+    prefixes of one trajectory. Raises RuntimeError when the objective or the
+    stop tolerance is not finite at the start, or when the objective becomes
+    non-finite (divergence).
     """
     kind = canonical_kind(kind)
     if kind == "least-squares":
@@ -274,6 +284,12 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
     obj = eval_objective(theta)
     if not math.isfinite(obj):
         raise RuntimeError("objective is not finite at the starting point")
+    stop_tol = cfg.tol
+    if stop_tol is None:
+        with np.errstate(over="ignore"):
+            stop_tol = 1e-9 * (1.0 + float(np.linalg.norm(Y, axis=1).sum()))
+    if not math.isfinite(stop_tol):
+        raise RuntimeError("stop tolerance is not finite")
     if cfg.eta0 is not None:
         eta0 = cfg.eta0
     else:
@@ -295,9 +311,6 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
     stop = "max-iters"
     iters = 0
 
-    stop_tol = cfg.tol
-    if stop_tol is None:
-        stop_tol = 1e-9 * (1.0 + float(np.linalg.norm(Y, axis=1).sum()))
     if best_obj <= stop_tol:
         stop = "tolerance"
     else:
@@ -406,16 +419,33 @@ def polish_estimate(traj: Trajectory, A0, B0=None, kind: str = "group-l2",
 
 def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
         polish: bool = True, theta0=None) -> EstimationResult:
-    """Subgradient fit, then (with ``polish``) the exact refit of its support.
+    """Fit (A, B) with the solver that suits ``kind`` and the data.
 
-    The polished estimate replaces the fit only when its objective is
-    strictly lower. Either way the result reports the subgradient's
-    iteration count. Raises RuntimeError when the subgradient's objective is
-    not finite.
+    Least squares is solved in closed form (objective nan, stop_reason
+    "closed-form") and a sum-of-norms fit of a scalar autonomous trajectory
+    exactly by solve_scalar_exact (stop_reason "exact"); both report 0
+    iterations and ignore the other arguments. Anything else runs
+    solve_subgradient, then with ``polish`` the exact refit of its support,
+    kept only when its objective is strictly lower; the result reports the
+    subgradient's iteration count. Raises RuntimeError when the
+    subgradient's objective or stop tolerance is not finite.
     """
-    res = solve_subgradient(traj, kind, config, theta0)
-    if polish:
-        pol = polish_estimate(traj, res.A_hat, res.B_hat, kind)
-        if pol is not None and pol.objective < res.objective:
-            return replace(pol, iterations_used=res.iterations_used)
-    return res
+    kind = canonical_kind(kind)
+    if kind == "least-squares":
+        A_hat, B_hat = least_squares(traj)
+        obj, stop = math.nan, "closed-form"
+    elif traj.n == 1 and traj.m == 0:
+        exact = solve_scalar_exact(traj)
+        A_hat, B_hat = np.array([[exact.a_hat]]), None
+        obj, stop = exact.objective, "exact"
+    else:
+        res = solve_subgradient(traj, kind, config, theta0)
+        if polish:
+            pol = polish_estimate(traj, res.A_hat, res.B_hat, kind)
+            if pol is not None and pol.objective < res.objective:
+                return replace(pol, iterations_used=res.iterations_used)
+        return res
+    return EstimationResult(
+        A_hat=A_hat, B_hat=B_hat, objective=obj,
+        residuals=residual_matrix(traj, A_hat, B_hat), iterations_used=0,
+        trace=((0, obj),), kind=kind, stop_reason=stop)

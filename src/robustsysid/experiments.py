@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import (SolverConfig, canonical_kind, estimation_error, fit,
-                         least_squares)
+from .estimators import SolverConfig, canonical_kind, estimation_error, fit
 from .lti import (GaussianAttackConfig, InputPolicy, LtiSystem,
                   StealthAttackConfig, discretize_euler, hovorka_continuous,
                   load_system_json, make_bernoulli, random_stable_system,
@@ -154,12 +153,6 @@ def _fit_trial(spec: ExperimentSpec, system: LtiSystem, policy: InputPolicy,
     for T in spec.T_checkpoints:
         pre = traj.prefix(T)
         for kind in spec.estimators:
-            if kind == "least-squares":
-                A_hat, B_hat = least_squares(pre)
-                err = estimation_error(A_hat, system.A, B_hat, system.B)
-                cells.append(CellRecord(trial, T, kind, err, math.nan, 0,
-                                        False, A_hat, B_hat))
-                continue
             solver = replace(spec.solver, step_offset=offset[kind])
             try:
                 res = fit(pre, kind, solver, spec.polish, theta0=warm[kind])

@@ -311,6 +311,20 @@ def test_kkt_support_ambiguity_flag():
     assert any(f.startswith("support-ambiguous") for f in cert.flags)
 
 
+@pytest.mark.parametrize("kind", ["group-l2", "entry-l1"])
+def test_kkt_rejects_non_finite_candidate(kind):
+    # a NaN residual row used to count as clean, which made the load G zero
+    sysd = random_stable_system(3, 0.6, seed=2, m=1)
+    traj = simulate(sysd, InputPolicy("iid-gaussian", 1.0),
+                    make_bernoulli(40, 0.3, 2), StealthAttackConfig(), seed=2)
+    for bad in (math.nan, math.inf):
+        for which in ("A", "B"):
+            M = {"A": sysd.A.copy(), "B": sysd.B.copy()}
+            M[which][0, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                kkt_certificate(traj, M["A"], M["B"], kind)
+
+
 def test_kkt_rejects_ls_kind():
     traj = _attacked_scalar(0.5)
     with pytest.raises(ValueError):

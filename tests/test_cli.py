@@ -93,19 +93,56 @@ def test_simulate_estimate_certify_pipeline(capsys, tmp_path, monkeypatch):
     assert all(s["verdict"] == "optimal" for s in cert["systems"])
 
 
+@pytest.mark.parametrize("estimate, names_file", [
+    ({"A_hat": [[math.nan, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]}, False),
+    ({"A_hat": [[math.inf, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]}, False),
+    ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]], True),
+    ({"A": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]}, True),
+])
+def test_certify_rejects_bad_estimate(capfd, tmp_path, monkeypatch, estimate,
+                                      names_file):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--random-stable", "3", "0.6", "--T", "40",
+               "--seed", "2", "--out", "t.csv") == 0
+    (tmp_path / "e.json").write_text(json.dumps(estimate))
+    capfd.readouterr()
+    assert run("certify", "--traj", "t.csv", "--norm", "l2",
+               "--estimate", "e.json") == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert ("e.json" in err[0]) == names_file, err
+
+
 def test_estimate_stdout_mode(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert run("simulate", "--random-stable", "1", "0.5", "--T", "30",
+    assert run("simulate", "--random-stable", "2", "0.5", "--T", "30",
                "--attack", "delta", "--delta", "2", "--attack-model", "stealth",
                "--seed", "1", "--out", "t.csv") == 0
     capsys.readouterr()
     assert run("estimate", "--traj", "t.csv", "--norm", "l1",
                "--max-iters", "2000", "--polish") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert np.asarray(payload["A_hat"]).shape == (1, 1)
+    assert np.asarray(payload["A_hat"]).shape == (2, 2)
     assert payload["objective"] >= 0.0
-    if payload["stop_reason"].startswith("polish"):
-        assert payload["iterations"] == 2000  # the subgradient's, not polish's
+    assert payload["stop_reason"] == "polish-certified"
+    assert payload["iterations"] == 2000  # the subgradient's, not polish's
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_estimate_scalar_is_exact(capsys, tmp_path, monkeypatch, norm):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--random-stable", "1", "0.5", "--T", "30",
+               "--attack", "delta", "--delta", "2", "--attack-model", "stealth",
+               "--seed", "1", "--out", "t.csv", "--system-out", "s.json") == 0
+    capsys.readouterr()
+    assert run("estimate", "--traj", "t.csv", "--norm", norm,
+               "--system", "s.json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stop_reason"] == "exact"
+    assert payload["iterations"] == 0
+    assert payload["error_vs_truth"] <= 1e-12
 
 
 def _blank_line(lines):
@@ -169,8 +206,14 @@ def test_estimate_rejects_bad_trajectory(capfd, tmp_path, monkeypatch, corrupt):
     assert "t.csv: line " in err[0]
 
 
-def test_estimate_rejects_overflowing_start(capfd, tmp_path, monkeypatch):
+@pytest.mark.parametrize("norm, message", [
+    pytest.param("l2", "objective is not finite at the starting point", id="l2"),
+    pytest.param("l1", "stop tolerance is not finite", id="l1"),
+])
+def test_estimate_rejects_overflowing_start(capfd, tmp_path, monkeypatch, norm,
+                                            message):
     # one finite state of 1e300 overflows the group-l2 objective at the start
+    # and, for both norms, the default stop tolerance
     monkeypatch.chdir(tmp_path)
     assert run("simulate", "--random-stable", "2", "0.6", "--T", "40",
                "--seed", "3", "--out", "t.csv") == 0
@@ -180,10 +223,10 @@ def test_estimate_rejects_overflowing_start(capfd, tmp_path, monkeypatch):
     lines[5] = ",".join(fields)
     (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
     capfd.readouterr()
-    assert run("estimate", "--traj", "t.csv", "--norm", "l2") == 1
+    assert run("estimate", "--traj", "t.csv", "--norm", norm) == 1
     out, err = capfd.readouterr()
     assert out == ""
-    assert err.splitlines() == ["error: objective is not finite at the starting point"]
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_manifest_contents_and_digests(tmp_path, monkeypatch):
@@ -280,6 +323,20 @@ def test_phase_cli(tmp_path, monkeypatch):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "4" and first[2] == "6"
+
+
+def test_phase_cli_rejects_unknown_scenario_key(capfd, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scenario = {"system": {"random-stable": {"n": 2, "rho": 0.5, "seed": 3}},
+                "estimater": "l2"}
+    (tmp_path / "sc.json").write_text(json.dumps(scenario))
+    capfd.readouterr()
+    assert run("phase", "--scenario", "sc.json", "--t-grid", "10",
+               "--trials", "2", "--out", "curve.csv") == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "estimater" in err, err
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_experiment_cli_with_overrides(tmp_path, monkeypatch):

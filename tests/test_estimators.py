@@ -1,5 +1,8 @@
 """Estimator tests: closed forms, the exact scalar solver, subgradient descent."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from robustsysid.estimators import (
     EstimationResult,
     SolverConfig,
     estimation_error,
+    fit,
     least_squares,
     objective,
     polish_estimate,
@@ -247,6 +251,47 @@ def test_subgradient_rejects_non_finite_start():
     traj = _scalar_traj([0.0, 1e300, 1.0])
     with pytest.raises(RuntimeError, match="not finite at the starting point"):
         solve_subgradient(traj, "group-l2")
+
+
+def test_subgradient_rejects_overflowing_stop_tolerance():
+    # the entry-l1 objective at the start is 1e300, but the default stop
+    # tolerance 1e-9 * (1 + sum ||x_{t+1}||_2) overflows, with no warning
+    traj = _scalar_traj([0.0, 1e300, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="stop tolerance is not finite"):
+            solve_subgradient(traj, "entry-l1")
+
+
+@pytest.mark.parametrize("kind", ["ls", "least-squares"])
+def test_fit_least_squares_is_closed_form(kind):
+    sysd = random_stable_system(2, 0.6, seed=3, m=1)
+    traj = simulate(sysd, InputPolicy("iid-gaussian", 1.0),
+                    make_delta_spaced(40, 3, 0), StealthAttackConfig(), seed=3)
+    A, B = least_squares(traj)
+    res = fit(traj, kind)
+    assert np.array_equal(res.A_hat, A) and np.array_equal(res.B_hat, B)
+    assert math.isnan(res.objective)
+    assert res.iterations_used == 0
+    assert res.stop_reason == "closed-form"
+    assert res.kind == "least-squares"
+    assert np.array_equal(res.residuals, residual_matrix(traj, A, B))
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+def test_fit_scalar_is_exact(kind):
+    sysd = LtiSystem(np.array([[0.7]]))
+    traj = simulate(sysd, InputPolicy(), make_delta_spaced(30, 3, 0),
+                    StealthAttackConfig(sigma=2.0), seed=13)
+    for data in (traj, TOY2):
+        exact = solve_scalar_exact(data)
+        res = fit(data, kind, SolverConfig(max_iters=10))
+        assert res.A_hat.shape == (1, 1) and res.A_hat[0, 0] == exact.a_hat
+        assert res.B_hat is None
+        assert res.objective == exact.objective
+        assert res.iterations_used == 0
+        assert res.stop_reason == "exact"
+    assert abs(fit(traj, kind).A_hat[0, 0] - 0.7) <= 1e-12
 
 
 def test_subgradient_theta0_chaining():
