@@ -38,6 +38,7 @@ from .estimators import (
     least_squares,
     objective,
     polish_estimate,
+    solve_irls,
     solve_scalar_exact,
     solve_subgradient,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "save_system_json",
     "save_trajectory_csv",
     "simulate",
+    "solve_irls",
     "solve_scalar_exact",
     "solve_subgradient",
     "span_condition",

@@ -140,7 +140,7 @@ def _run_estimate(cfg: dict) -> HandlerOutput:
     tol = cfg.get("tol")
     solver = SolverConfig(max_iters=int(cfg["max_iters"]),
                           tol=None if tol is None else float(tol),
-                          warm_start=cfg["warm_start"])
+                          warm_start=cfg["warm_start"], method=cfg["method"])
     res = fit(traj, cfg["norm"], solver, polish=bool(cfg.get("polish")))
     payload = {
         "objective": None if math.isnan(res.objective) else res.objective,
@@ -453,8 +453,8 @@ def _cfg_simulate(args) -> dict:
 def _cfg_estimate(args) -> dict:
     return {"traj": args.traj, "norm": args.norm, "max_iters": args.max_iters,
             "tol": args.tol, "warm_start": args.warm_start,
-            "polish": args.polish, "system": args.system, "out": args.out,
-            "seed": args.seed,
+            "method": SolverConfig().method, "polish": args.polish,
+            "system": args.system, "out": args.out, "seed": args.seed,
             "manifest": _default_manifest(args, args.out, "estimate")}
 
 
@@ -497,6 +497,10 @@ def _cfg_bound(args) -> dict:
 def _cfg_phase(args) -> dict:
     with open(args.scenario) as fh:
         scenario = json.load(fh)
+    if not isinstance(scenario, dict):
+        raise ValueError(f"{args.scenario}: a scenario JSON is an object")
+    scenario["solver"] = {"method": SolverConfig().method,
+                          **scenario.get("solver", {})}
     t_grid = [int(t) for t in _ints(args.t_grid)]
     return {"scenario": scenario, "scenario_file": args.scenario,
             "t_grid": t_grid, "trials": args.trials,
@@ -560,12 +564,23 @@ def _changed_files(digests: dict) -> list:
     return [path for path, digest in digests.items() if _sha256(path) != digest]
 
 
+def _fill_legacy_method(cmd: str, cfg: dict) -> None:
+    """Manifests written before IRLS became the default carry no solver
+    method; they ran the subgradient, so replay runs it again."""
+    if cmd == "estimate":
+        cfg.setdefault("method", "subgradient")
+    elif cmd in ("phase", "experiment"):
+        holder = cfg["scenario" if cmd == "phase" else "spec"]
+        holder.setdefault("solver", {}).setdefault("method", "subgradient")
+
+
 def _run_replay(manifest_path: str) -> HandlerOutput:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     cmd = manifest["subcommand"]
     if cmd not in HANDLERS:
         raise ValueError(f"manifest names unknown subcommand {cmd!r}")
+    _fill_legacy_method(cmd, manifest["config"])
     changed = _changed_files(manifest["inputs"])
     if changed:
         raise ValueError(f"replay: inputs changed since the manifest was "

@@ -12,6 +12,7 @@ the empirical counterpart: recovery frequency as a function of the horizon.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -191,6 +192,14 @@ def input_bound_constants(system: LtiSystem, xi: float, sigma: float,
 # empirical phase transitions
 
 
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class PhaseScenario:
     """Everything a recovery trial needs except the horizon and the seed."""
@@ -211,6 +220,14 @@ class PhaseScenario:
     def __post_init__(self):
         if self.attack not in ("bernoulli", "delta-spaced"):
             raise ValueError("attack must be 'bernoulli' or 'delta-spaced'")
+        if not (_real(self.p) and 0.0 <= self.p <= 1.0):
+            raise ValueError("p must be a number in [0, 1]")
+        if not (_integer(self.delta) and self.delta >= 1):
+            raise ValueError("delta must be an integer >= 1")
+        if not (_integer(self.first_attack) and self.first_attack >= 0):
+            raise ValueError("first_attack must be an integer >= 0")
+        if not isinstance(self.polish, bool):
+            raise ValueError("polish must be true or false")
         if not 0.0 < self.success_level <= 1.0:
             raise ValueError("success_level must lie in (0, 1]")
         object.__setattr__(self, "estimator", canonical_kind(self.estimator))

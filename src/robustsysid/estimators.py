@@ -7,9 +7,11 @@ linearly, so sparse-in-time attacks are absorbed by the residual instead of
 biasing (A, B). ``fit`` is the one entry point for every kind and picks the
 solver: least squares in closed form; a sum-of-norms fit of a scalar
 autonomous trajectory exactly, as a weighted median; everything else by
-diminishing-step subgradient descent with best-iterate tracking, then an
-optional certified refit that jumps from a near-solution to the exact
-minimizer.
+iteratively reweighted least squares (IRLS), then an optional certified
+refit that jumps from a near-solution to the exact minimizer. The
+diminishing-step subgradient solver stays available through
+``SolverConfig.method`` and as the reference the IRLS fits are tested
+against.
 """
 
 from __future__ import annotations
@@ -175,13 +177,18 @@ def solve_scalar_exact(traj: Trajectory) -> ScalarExactResult:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for solve_subgradient.
+    """Knobs for the sum-of-norms solvers.
 
-    The step is eta0 / sqrt(k + 1); eta0 = None calibrates it from the first
-    subgradient so the initial move is ~5% of the coefficient scale,
-    regardless of the state magnitudes. ``step_offset`` continues the
-    schedule of an earlier run (warm-started refits keep shrinking instead of
-    restarting at eta0).
+    ``method`` picks the solver ``fit`` runs: "irls" (solve_irls, the
+    default) or "subgradient" (solve_subgradient, kept so that manifests
+    written before IRLS replay unchanged). ``max_iters`` caps the steps and
+    ``tol`` sets the stop tolerance of both. The rest affect only the
+    subgradient: its step is eta0 / sqrt(k + 1), and eta0 = None calibrates
+    it from the first subgradient so the initial move is ~5% of the
+    coefficient scale, regardless of the state magnitudes; ``warm_start``
+    picks its start when no theta0 is given (IRLS always starts from least
+    squares); ``step_offset`` continues the schedule of an earlier run
+    (warm-started refits keep shrinking instead of restarting at eta0).
     """
 
     max_iters: int = 20_000
@@ -189,6 +196,7 @@ class SolverConfig:
     tol: float | None = None
     warm_start: str = "least-squares"  # or "zero"
     step_offset: int = 0
+    method: str = "irls"  # or "subgradient"
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -201,6 +209,8 @@ class SolverConfig:
             raise ValueError("warm_start must be 'zero' or 'least-squares'")
         if self.step_offset < 0:
             raise ValueError("step_offset must be >= 0")
+        if self.method not in ("irls", "subgradient"):
+            raise ValueError("method must be 'irls' or 'subgradient'")
 
 
 @dataclass(frozen=True)
@@ -231,6 +241,46 @@ def _log_points(max_iters: int):
     return pts
 
 
+def _lstsq(Z: np.ndarray, Y: np.ndarray, step: int) -> np.ndarray:
+    try:
+        return np.linalg.lstsq(Z, Y, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            f"least squares failed at iteration {step}: {exc}") from exc
+
+
+def _start(traj: Trajectory, kind: str, cfg: SolverConfig, theta0,
+           zero: bool = False):
+    """Regressors, starting coefficients and stop tolerance of a solver.
+
+    The start is ``theta0`` when given, else zero (``zero``) or least
+    squares. Raises RuntimeError when the least-squares start fails or when
+    the objective at the start or the stop tolerance is not finite.
+    """
+    kind = canonical_kind(kind)
+    if kind == "least-squares":
+        raise ValueError("use least_squares() for the quadratic objective")
+    Z, Y = _regressors(traj)
+    shape = (Z.shape[1], traj.n)
+    if theta0 is not None:
+        theta = np.array(theta0, dtype=float)
+        if theta.shape != shape:
+            raise ValueError(f"theta0 must have shape {shape}, got {theta.shape}")
+    elif zero:
+        theta = np.zeros(shape)
+    else:
+        theta = _lstsq(Z, Y, 0)
+    if not math.isfinite(_norm_sum(Y - Z @ theta, kind)):
+        raise RuntimeError("objective is not finite at the starting point")
+    stop_tol = cfg.tol
+    if stop_tol is None:
+        with np.errstate(over="ignore"):
+            stop_tol = 1e-9 * (1.0 + float(np.linalg.norm(Y, axis=1).sum()))
+    if not math.isfinite(stop_tol):
+        raise RuntimeError("stop tolerance is not finite")
+    return kind, Z, Y, theta, stop_tol
+
+
 def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
                       config: SolverConfig | None = None,
                       theta0=None) -> EstimationResult:
@@ -250,22 +300,11 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
     stop tolerance is not finite at the start, or when the objective becomes
     non-finite (divergence).
     """
-    kind = canonical_kind(kind)
-    if kind == "least-squares":
-        raise ValueError("use least_squares() for the quadratic objective")
     cfg = config or SolverConfig()
-
-    Z, Y = _regressors(traj)
-    T, d = Z.shape
+    kind, Z, Y, theta, stop_tol = _start(traj, kind, cfg, theta0,
+                                         zero=cfg.warm_start == "zero")
+    T = Z.shape[0]
     n = traj.n
-    if theta0 is not None:
-        theta = np.array(theta0, dtype=float)
-        if theta.shape != (d, n):
-            raise ValueError(f"theta0 must have shape {(d, n)}, got {theta.shape}")
-    elif cfg.warm_start == "least-squares":
-        theta, *_ = np.linalg.lstsq(Z, Y, rcond=None)
-    else:
-        theta = np.zeros((d, n))
 
     R = np.empty_like(Y)
     G = np.empty_like(Y)
@@ -282,14 +321,6 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
         return float(np.abs(R).sum())
 
     obj = eval_objective(theta)
-    if not math.isfinite(obj):
-        raise RuntimeError("objective is not finite at the starting point")
-    stop_tol = cfg.tol
-    if stop_tol is None:
-        with np.errstate(over="ignore"):
-            stop_tol = 1e-9 * (1.0 + float(np.linalg.norm(Y, axis=1).sum()))
-    if not math.isfinite(stop_tol):
-        raise RuntimeError("stop tolerance is not finite")
     if cfg.eta0 is not None:
         eta0 = cfg.eta0
     else:
@@ -341,6 +372,92 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
     if trace[-1][0] != iters:
         trace.append((iters, best_obj))
     A_hat, B_hat = _split(best_theta, n, traj.m)
+    return EstimationResult(
+        A_hat=A_hat, B_hat=B_hat, objective=best_obj,
+        residuals=residual_matrix(traj, A_hat, B_hat),
+        iterations_used=iters, trace=tuple(trace), kind=kind, stop_reason=stop)
+
+
+# ---------------------------------------------------------------------------
+# iteratively reweighted least squares
+
+
+_EPS_FLOOR = 1e-14  # smallest smoothing of the IRLS weights
+_STALL_STEPS = 5    # steps at the floor without progress before IRLS stops
+
+
+def solve_irls(traj: Trajectory, kind: str = "group-l2",
+               config: SolverConfig | None = None,
+               theta0=None) -> EstimationResult:
+    """Iteratively reweighted least squares on the sum-of-norms objective.
+
+    Each step solves a weighted least-squares problem whose weights come
+    from the current residuals: row t gets 1/max(||r_t||_2, eps) for
+    group-l2 (Weiszfeld's weights), entry (t, l) gets 1/max(|r_tl|, eps) for
+    entry-l1 (one weighted solve per state coordinate). The smoothing eps
+    starts at the median residual norm and halves every step down to 1e-14,
+    so clean rows gain weight as their residuals shrink and attacked rows
+    lose it (Daubechies, DeVore, Fornasier & Guentuerk, CPAM 2010; Beck &
+    Sabach, JOTA 2015). Each step is an ``lstsq`` on sqrt-weighted rows:
+    the normal equations turn singular once the weights blow up.
+
+    Starts from least squares, or from ``theta0``. Returns the best iterate
+    seen, with the trace on the grid solve_subgradient uses. Stops on best
+    objective <= tol ("tolerance", tol = None as for solve_subgradient),
+    when eps is at its floor and the best objective has fallen by at most
+    1e-13 relative for 5 steps ("converged"), or at max_iters. Raises
+    RuntimeError when the objective or the stop tolerance is not finite at
+    the start, or when a step fails or leaves a non-finite objective.
+    """
+    cfg = config or SolverConfig()
+    kind, Z, Y, theta, stop_tol = _start(traj, kind, cfg, theta0)
+    l2 = kind == "group-l2"
+
+    def sizes(R):
+        return np.sqrt(np.einsum("ij,ij->i", R, R)) if l2 else np.abs(R)
+
+    R = Y - Z @ theta
+    best_obj = _norm_sum(R, kind)
+    best_theta = theta
+    eps = max(float(np.median(sizes(R))), _EPS_FLOOR)
+    trace = [(0, best_obj)]
+    log_at = _log_points(cfg.max_iters)
+    stop = "max-iters"
+    iters = stalled = 0
+
+    if best_obj <= stop_tol:
+        stop = "tolerance"
+    else:
+        for k in range(cfg.max_iters):
+            w = 1.0 / np.sqrt(np.maximum(sizes(R), eps))
+            if l2:
+                theta = _lstsq(Z * w[:, None], Y * w[:, None], k + 1)
+            else:
+                theta = np.column_stack([
+                    _lstsq(Z * w[:, [j]], Y[:, j] * w[:, j], k + 1)
+                    for j in range(traj.n)])
+            R = Y - Z @ theta
+            obj = _norm_sum(R, kind)
+            if not math.isfinite(obj):
+                raise RuntimeError(f"objective diverged at iteration {k + 1}")
+            iters = k + 1
+            stalled = (stalled + 1 if eps <= _EPS_FLOOR
+                       and best_obj - obj <= 1e-13 * best_obj else 0)
+            if obj < best_obj:
+                best_obj, best_theta = obj, theta
+            if iters in log_at:
+                trace.append((iters, best_obj))
+            if best_obj <= stop_tol:
+                stop = "tolerance"
+                break
+            if stalled >= _STALL_STEPS:
+                stop = "converged"
+                break
+            eps = max(eps / 2.0, _EPS_FLOOR)
+
+    if trace[-1][0] != iters:
+        trace.append((iters, best_obj))
+    A_hat, B_hat = _split(best_theta, traj.n, traj.m)
     return EstimationResult(
         A_hat=A_hat, B_hat=B_hat, objective=best_obj,
         residuals=residual_matrix(traj, A_hat, B_hat),
@@ -424,11 +541,13 @@ def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
     Least squares is solved in closed form (objective nan, stop_reason
     "closed-form") and a sum-of-norms fit of a scalar autonomous trajectory
     exactly by solve_scalar_exact (stop_reason "exact"); both report 0
-    iterations and ignore the other arguments. Anything else runs
-    solve_subgradient, then with ``polish`` the exact refit of its support,
-    kept only when its objective is strictly lower; the result reports the
-    subgradient's iteration count. Raises RuntimeError when the
-    subgradient's objective or stop tolerance is not finite.
+    iterations and ignore the other arguments. Anything else runs the solver
+    ``config.method`` names (solve_irls by default, or solve_subgradient)
+    from ``theta0`` or its own start, then with ``polish`` the exact refit of
+    its support once, kept only when its objective is strictly lower; the
+    result reports the solver's iteration count. Raises RuntimeError when
+    the solver's objective or stop tolerance is not finite, or when the
+    solver fails.
     """
     kind = canonical_kind(kind)
     if kind == "least-squares":
@@ -439,7 +558,9 @@ def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
         A_hat, B_hat = np.array([[exact.a_hat]]), None
         obj, stop = exact.objective, "exact"
     else:
-        res = solve_subgradient(traj, kind, config, theta0)
+        config = config or SolverConfig()
+        solver = solve_irls if config.method == "irls" else solve_subgradient
+        res = solver(traj, kind, config, theta0)
         if polish:
             pol = polish_estimate(traj, res.A_hat, res.B_hat, kind)
             if pol is not None and pol.objective < res.objective:

@@ -178,9 +178,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     Each trial simulates one trajectory of the longest horizon and refits all
     selected estimators on each checkpoint prefix (warm-starting every refit
-    from the previous checkpoint's solution, with the step schedule continuing
-    rather than restarting). Solver divergence marks the cell and is skipped
-    in the aggregates.
+    from the previous checkpoint's solution; the subgradient's step schedule
+    continues rather than restarting). Solver divergence or failure marks the
+    cell and is skipped in the aggregates.
     """
     system = resolve_system(spec)
     policy = (InputPolicy() if spec.input_xi == 0.0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from robustsysid.cli import dispatch
+from robustsysid.cli import _execute, dispatch
 
 
 def run(*argv):
@@ -127,7 +127,47 @@ def test_estimate_stdout_mode(capsys, tmp_path, monkeypatch):
     assert np.asarray(payload["A_hat"]).shape == (2, 2)
     assert payload["objective"] >= 0.0
     assert payload["stop_reason"] == "polish-certified"
-    assert payload["iterations"] == 2000  # the subgradient's, not polish's
+    assert payload["iterations"] == 49  # the IRLS steps, not polish's 0
+
+
+@pytest.mark.parametrize("norm, seed", [("l2", "0"), ("l1", "8")])
+def test_estimate_recovers_exactly_where_subgradient_stalled(
+        capsys, tmp_path, monkeypatch, norm, seed):
+    # the 20,000-step subgradient + polish stopped at max-iters here with
+    # error_vs_truth 4.8e-4 (l2, seed 0) and 2.8e-4 (l1, seed 8)
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--random-stable", "3", "0.7", "--T", "2000",
+               "--p", "0.4", "--attack-model", "stealth", "--sigma", "2",
+               "--seed", seed, "--out", "t.csv", "--system-out", "s.json") == 0
+    capsys.readouterr()
+    assert run("estimate", "--traj", "t.csv", "--norm", norm, "--polish",
+               "--system", "s.json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stop_reason"] == "polish-certified"
+    assert payload["error_vs_truth"] <= 1e-12
+
+
+def test_estimate_failed_irls_step_is_one_error_line(capfd, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--random-stable", "2", "0.6", "--T", "40",
+               "--seed", "3", "--out", "t.csv") == 0
+    lstsq = np.linalg.lstsq
+    calls = []
+
+    def failing(a, b, rcond=None):  # the start succeeds, the first step fails
+        calls.append(None)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    capfd.readouterr()
+    assert run("estimate", "--traj", "t.csv", "--norm", "l2") == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: least squares failed at iteration 1: SVD did not converge"]
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -305,6 +345,79 @@ def test_replay_ignores_retired_escalate_key(tmp_path, monkeypatch):
     assert [s["label"] for s in json.loads(cert)["systems"]] == ["l2-ball"]
 
 
+def test_manifests_record_solver_method(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sc.json").write_text(json.dumps(
+        {"system": {"random-stable": {"n": 2, "rho": 0.5, "seed": 3}},
+         "estimator": "l2", "solver": {"max_iters": 50}}))
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"system_source": {"random-stable": {"n": 2, "rho": 0.6, "seed": 1}},
+         "T_checkpoints": [30], "trials": 1, "estimators": ["l1"]}))
+    assert run("simulate", "--random-stable", "2", "0.6", "--T", "30",
+               "--seed", "2", "--out", "t.csv") == 0
+    assert run("estimate", "--traj", "t.csv", "--norm", "l1",
+               "--out", "e.json") == 0
+    assert run("phase", "--scenario", "sc.json", "--t-grid", "20",
+               "--trials", "2", "--out", "curve.csv") == 0
+    assert run("experiment", "--spec", "spec.json", "--out-dir", "exp") == 0
+
+    def config(name):
+        return json.loads((tmp_path / name).read_text())["config"]
+
+    assert config("e.json.manifest.json")["method"] == "irls"
+    assert config("curve.csv.manifest.json")["scenario"]["solver"] == {
+        "method": "irls", "max_iters": 50}
+    assert config("exp/run.manifest.json")["spec"]["solver"]["method"] == "irls"
+
+
+@pytest.mark.parametrize("cmd", ["estimate", "phase", "experiment"])
+def test_replay_runs_subgradient_for_manifest_without_method(
+        tmp_path, monkeypatch, cmd):
+    # a manifest written before the solver method was recorded ran the
+    # subgradient; replay fills the missing key in and reproduces the bytes
+    monkeypatch.chdir(tmp_path)
+    solver = {"max_iters": 200, "method": "subgradient"}
+    (tmp_path / "sc.json").write_text(json.dumps(
+        {"system": {"random-stable": {"n": 2, "rho": 0.6, "seed": 2}},
+         "estimator": "l2", "solver": solver}))
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"system_source": {"random-stable": {"n": 2, "rho": 0.6, "seed": 1}},
+         "p": 0.4, "T_checkpoints": [30, 60], "trials": 1, "solver": solver}))
+    assert run("simulate", "--random-stable", "2", "0.6", "--T", "40",
+               "--p", "0.4", "--seed", "2", "--out", "t.csv") == 0
+    argv, outputs, manifest = {
+        "estimate": (["estimate", "--traj", "t.csv", "--norm", "l2",
+                      "--max-iters", "200", "--out", "e.json"],
+                     ["e.json"], "e.json.manifest.json"),
+        "phase": (["phase", "--scenario", "sc.json", "--t-grid", "20,40",
+                   "--trials", "3", "--out", "curve.csv"],
+                  ["curve.csv"], "curve.csv.manifest.json"),
+        "experiment": (["experiment", "--spec", "spec.json", "--out-dir", "x"],
+                       ["x/errors_ls.csv", "x/errors_l2.csv",
+                        "x/errors_l1.csv", "x/experiment_manifest.json"],
+                       "x/run.manifest.json"),
+    }[cmd]
+    assert run(*argv) == 0
+    path = tmp_path / manifest
+    recorded = json.loads(path.read_text())
+    cfg = recorded["config"]
+    if cmd == "estimate":  # no CLI flag picks the solver: rewrite the run
+        cfg["method"] = "subgradient"
+        _execute("estimate", cfg)
+        recorded = json.loads(path.read_text())
+        cfg = recorded["config"]
+    holder = {"estimate": lambda: cfg,
+              "phase": lambda: cfg["scenario"]["solver"],
+              "experiment": lambda: cfg["spec"]["solver"]}[cmd]()
+    assert holder.pop("method") == "subgradient"
+    path.write_text(json.dumps(recorded))
+    before = {f: (tmp_path / f).read_bytes() for f in outputs}
+    for f in outputs:
+        (tmp_path / f).unlink()
+    assert run("replay", "--manifest", manifest) == 0
+    assert {f: (tmp_path / f).read_bytes() for f in outputs} == before
+
+
 def test_replay_missing_manifest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("replay", "--manifest", "nope.json") == 2
@@ -336,6 +449,26 @@ def test_phase_cli_rejects_unknown_scenario_key(capfd, tmp_path, monkeypatch):
     out, err = capfd.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "estimater" in err, err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [{"polish": "no"}, {"p": 2}, {"delta": 0},
+                                 {"delta": 2.5}],
+                         ids=["polish-no", "p-2", "delta-0", "delta-2.5"])
+def test_phase_cli_rejects_bad_scenario_value(capfd, tmp_path, monkeypatch,
+                                              bad):
+    monkeypatch.chdir(tmp_path)
+    scenario = {"system": {"random-stable": {"n": 2, "rho": 0.5, "seed": 3}},
+                **bad}
+    (tmp_path / "sc.json").write_text(json.dumps(scenario))
+    capfd.readouterr()
+    assert run("phase", "--scenario", "sc.json", "--t-grid", "10",
+               "--trials", "2", "--out", "curve.csv") == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert next(iter(bad)) in err[0] and "trial" not in err[0], err
     assert not (tmp_path / "curve.csv").exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 from robustsysid.complexity import (
     ComplexityInputs,
     PhaseScenario,
+    _run_trial,
     phase_transition,
     t_sample_auto_l1,
     t_sample_auto_l2,
@@ -203,3 +204,26 @@ def test_phase_ls_estimator_fails_under_attack():
     curve = phase_transition(sc, [20, 40], trials=10, seed=3)
     assert all(r.success_rate == 0.0 for r in curve.rows)
     assert curve.threshold is None
+
+
+@pytest.mark.parametrize("bad", [
+    {"p": 2}, {"p": -0.1}, {"p": float("nan")}, {"p": "0.3"},
+    {"delta": 0}, {"delta": 2.5}, {"delta": True},
+    {"first_attack": -1}, {"first_attack": 1.0},
+    {"polish": "no"}, {"polish": 1},
+], ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
+def test_phase_scenario_rejects_bad_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        PhaseScenario(system=LtiSystem(np.array([[0.5]])), **bad)
+
+
+@pytest.mark.parametrize("p, index", [(0.7, 6), (0.7, 10), (0.5, 4)])
+def test_phase_acceptance_fault_trials_recover(p, index):
+    # trials of the acceptance scenario (seed 123, T = 130) whose truth is
+    # the certified minimizer; a 3000-step subgradient + polish stopped
+    # 5e-4 to 1e-3 above its objective there
+    sc = PhaseScenario(system=random_stable_system(3, 0.7, seed=55), p=p,
+                       estimator="group-l2",
+                       attack_cfg=StealthAttackConfig(sigma=2.0),
+                       solver=SolverConfig(max_iters=3000))
+    assert _run_trial(sc, 130, 123, index, sc.default_recovery_tol())

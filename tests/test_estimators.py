@@ -1,4 +1,5 @@
-"""Estimator tests: closed forms, the exact scalar solver, subgradient descent."""
+"""Estimator tests: closed forms, the exact scalar solver, subgradient descent
+and iteratively reweighted least squares."""
 
 import math
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustsysid.certificates import kkt_certificate
 from robustsysid.estimators import (
     EstimationResult,
     SolverConfig,
@@ -17,6 +19,7 @@ from robustsysid.estimators import (
     objective,
     polish_estimate,
     residual_matrix,
+    solve_irls,
     solve_scalar_exact,
     solve_subgradient,
 )
@@ -26,6 +29,7 @@ from robustsysid.lti import (
     LtiSystem,
     StealthAttackConfig,
     Trajectory,
+    make_bernoulli,
     make_delta_spaced,
     random_stable_system,
     simulate,
@@ -331,3 +335,125 @@ def test_polish_none_when_already_optimal():
     pol = polish_estimate(TOY, np.array([[res.a_hat]]), kind="entry-l1")
     # nothing strictly below the optimum exists
     assert pol is None or pol.objective >= res.objective - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# iteratively reweighted least squares
+
+
+def _attacked_traj(T=120, p=0.5, seed=7):
+    sysd = random_stable_system(3, 0.7, seed=55)
+    traj = simulate(sysd, InputPolicy(), make_bernoulli(T, p, seed),
+                    StealthAttackConfig(sigma=2.0), seed)
+    return sysd, traj
+
+
+@pytest.mark.parametrize("kind", ["group-l2", "entry-l1"])
+def test_irls_converges_to_the_truth(kind):
+    sysd, traj = _attacked_traj()
+    assert kkt_certificate(traj, sysd.A, None, kind).verdict == "optimal"
+    res = solve_irls(traj, kind, SolverConfig(max_iters=3000))
+    assert res.stop_reason == "converged"
+    assert 0 < res.iterations_used < 3000
+    assert np.linalg.norm(res.A_hat - sysd.A) <= 1e-9
+    assert res.objective == pytest.approx(
+        objective(traj, res.A_hat, kind=kind), rel=1e-12)
+    assert np.allclose(res.residuals, residual_matrix(traj, res.A_hat))
+    vals = [v for _, v in res.trace]
+    assert all(b <= a for a, b in zip(vals, vals[1:]))
+    assert res.trace[0][0] == 0 and res.trace[-1][0] == res.iterations_used
+
+
+def test_irls_clean_data_zero_steps():
+    sysd = random_stable_system(2, 0.6, seed=9, m=2)
+    traj = simulate(sysd, InputPolicy("iid-gaussian", 1.0),
+                    AttackSchedule(60, ()), None, seed=9)
+    res = solve_irls(traj, "entry-l1")
+    assert res.iterations_used == 0 and res.stop_reason == "tolerance"
+    assert np.linalg.norm(res.B_hat - sysd.B) <= 1e-8
+
+
+def test_irls_theta0_and_max_iters():
+    sysd, traj = _attacked_traj()
+    A_ls, _ = least_squares(traj)
+    capped = solve_irls(traj, "group-l2", SolverConfig(max_iters=3))
+    assert capped.iterations_used == 3 and capped.stop_reason == "max-iters"
+    assert capped.objective < objective(traj, A_ls)
+    again = solve_irls(traj, "group-l2", theta0=capped.theta())
+    assert np.linalg.norm(again.A_hat - sysd.A) <= 1e-9
+    with pytest.raises(ValueError):
+        solve_irls(traj, "group-l2", theta0=np.zeros((5, 2)))
+    with pytest.raises(ValueError):
+        solve_irls(traj, "least-squares")
+
+
+def test_fit_runs_the_configured_method():
+    _, traj = _attacked_traj(T=60)
+    cfg = SolverConfig(max_iters=300, method="subgradient")
+    sub = solve_subgradient(traj, "group-l2", cfg)
+    res = fit(traj, "group-l2", cfg, polish=False)
+    assert np.array_equal(res.A_hat, sub.A_hat)
+    assert res.iterations_used == 300 and res.stop_reason == "max-iters"
+    assert fit(traj, "group-l2", polish=False).stop_reason == "converged"
+    with pytest.raises(ValueError):
+        SolverConfig(method="newton")
+
+
+def test_irls_rejects_non_finite_start():
+    traj = _scalar_traj([0.0, 1e300, 1.0])
+    with pytest.raises(RuntimeError, match="not finite at the starting point"):
+        solve_irls(traj, "group-l2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="stop tolerance is not finite"):
+            solve_irls(traj, "entry-l1")
+
+
+@pytest.mark.parametrize("kind", ["group-l2", "entry-l1"])
+@pytest.mark.parametrize("fault, message", [
+    ("raise", "iteration 1: SVD did not converge"),
+    ("nan", "diverged at iteration 1"),
+])
+def test_irls_step_failures_raise_runtime_error(monkeypatch, kind, fault,
+                                                message):
+    # every lstsq after the least-squares start fails or returns
+    # non-finite coefficients
+    _, traj = _attacked_traj(T=40)
+    lstsq = np.linalg.lstsq
+    calls = []
+
+    def patched(a, b, rcond=None):
+        calls.append(None)
+        x, *rest = lstsq(a, b, rcond=rcond)
+        if len(calls) > 1:
+            if fault == "raise":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            x = np.full_like(x, np.nan)
+        return (x, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", patched)
+    with pytest.raises(RuntimeError, match=message):
+        solve_irls(traj, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 3), m=st.integers(0, 1), rho=st.floats(0.3, 0.8),
+       p=st.floats(0.1, 0.7), T=st.integers(15, 80),
+       seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["group-l2", "entry-l1"]))
+def test_irls_never_above_subgradient_and_certifies(n, m, rho, p, T, seed,
+                                                     kind):
+    # IRLS + polish against the reference solver, subgradient + polish, on
+    # the same data: never a higher objective, and a certified minimizer
+    # whenever the truth certifies optimal
+    sysd = random_stable_system(n, rho, seed=seed, m=m)
+    policy = InputPolicy("iid-gaussian", 1.0) if m else InputPolicy()
+    traj = simulate(sysd, policy, make_bernoulli(T, p, seed),
+                    StealthAttackConfig(sigma=2.0), seed)
+    irls = fit(traj, kind, SolverConfig(max_iters=3000))
+    sub = fit(traj, kind, SolverConfig(max_iters=3000, method="subgradient"))
+    assert irls.objective <= sub.objective * (1.0 + 1e-9)
+    B = sysd.B if m else None
+    if kkt_certificate(traj, sysd.A, B, kind).verdict == "optimal":
+        cert = kkt_certificate(traj, irls.A_hat, irls.B_hat, kind)
+        assert cert.verdict == "optimal", irls.stop_reason

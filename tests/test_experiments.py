@@ -18,6 +18,8 @@ from robustsysid.experiments import (
     spec_from_dict,
     spec_to_dict,
 )
+from robustsysid.lti import InputPolicy, make_bernoulli, simulate
+from robustsysid.rng import trial_seed
 
 
 def test_default_checkpoints_shape():
@@ -135,7 +137,9 @@ def test_run_experiment_estimator_subset():
 
 
 def test_run_experiment_divergence_recorded():
-    spec = _small_spec(estimators=("l2",), solver=SolverConfig(max_iters=5, eta0=1e300))
+    spec = _small_spec(estimators=("l2",),
+                       solver=SolverConfig(max_iters=5, eta0=1e300,
+                                           method="subgradient"))
     res = run_experiment(spec)
     assert all(c.diverged for c in res.cells)
     assert all(math.isnan(c.error) for c in res.cells)
@@ -173,3 +177,38 @@ def test_emit_plot_data_bad_header(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         read_plot_csv(bad)
+
+
+def test_insulin_entry_l1_not_above_truth():
+    # p = 0.6, seed 4: a 3000-step subgradient + polish ended entry-l1 above
+    # the truth's objective at T = 64, 82 and 105
+    spec = ExperimentSpec(p=0.6, trials=1, seed=4)
+    res = run_experiment(spec)
+    ts = trial_seed(spec.seed, 0)
+    traj = simulate(res.system, InputPolicy(),
+                    make_bernoulli(spec.T_checkpoints[-1], spec.p, ts),
+                    attack_config(spec), ts)
+    cells = {c.T: c for c in res.cells if c.estimator == "entry-l1"}
+    for T in (64, 82, 105):
+        truth = float(np.abs(traj.disturbances[:T]).sum())
+        assert not cells[T].diverged
+        assert cells[T].objective <= truth * (1.0 + 1e-12), T
+
+
+
+def test_run_experiment_records_failed_irls_step(monkeypatch):
+    # each fit's least-squares start succeeds and its first IRLS step
+    # raises LinAlgError: every cell is recorded as diverged
+    lstsq = np.linalg.lstsq
+    calls = []
+
+    def alternating(a, b, rcond=None):
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", alternating)
+    res = run_experiment(_small_spec(estimators=("l2",)))
+    assert res.cells and all(c.diverged for c in res.cells)
+    assert len(calls) == 2 * len(res.cells)
