@@ -139,8 +139,7 @@ def _run_estimate(cfg: dict) -> HandlerOutput:
     inputs = [cfg["traj"]]
     tol = cfg.get("tol")
     solver = SolverConfig(max_iters=int(cfg["max_iters"]),
-                          tol=None if tol is None else float(tol),
-                          warm_start=cfg["warm_start"], method=cfg["method"])
+                          tol=None if tol is None else float(tol))
     res = fit(traj, cfg["norm"], solver, polish=bool(cfg.get("polish")))
     payload = {
         "objective": None if math.isnan(res.objective) else res.objective,
@@ -335,8 +334,6 @@ def build_parser() -> _Parser:
     est.add_argument("--max-iters", type=int, default=20_000)
     est.add_argument("--tol", type=float, default=None,
                      help="objective stopping tolerance (default: scale-aware)")
-    est.add_argument("--warm-start", choices=["least-squares", "zero"],
-                     default="least-squares")
     est.add_argument("--polish", action="store_true",
                      help="attempt a certified exact refit of the support")
     est.add_argument("--system", default=None,
@@ -452,9 +449,8 @@ def _cfg_simulate(args) -> dict:
 
 def _cfg_estimate(args) -> dict:
     return {"traj": args.traj, "norm": args.norm, "max_iters": args.max_iters,
-            "tol": args.tol, "warm_start": args.warm_start,
-            "method": SolverConfig().method, "polish": args.polish,
-            "system": args.system, "out": args.out, "seed": args.seed,
+            "tol": args.tol, "polish": args.polish, "system": args.system,
+            "out": args.out, "seed": args.seed,
             "manifest": _default_manifest(args, args.out, "estimate")}
 
 
@@ -497,10 +493,6 @@ def _cfg_bound(args) -> dict:
 def _cfg_phase(args) -> dict:
     with open(args.scenario) as fh:
         scenario = json.load(fh)
-    if not isinstance(scenario, dict):
-        raise ValueError(f"{args.scenario}: a scenario JSON is an object")
-    scenario["solver"] = {"method": SolverConfig().method,
-                          **scenario.get("solver", {})}
     t_grid = [int(t) for t in _ints(args.t_grid)]
     return {"scenario": scenario, "scenario_file": args.scenario,
             "t_grid": t_grid, "trials": args.trials,
@@ -564,23 +556,12 @@ def _changed_files(digests: dict) -> list:
     return [path for path, digest in digests.items() if _sha256(path) != digest]
 
 
-def _fill_legacy_method(cmd: str, cfg: dict) -> None:
-    """Manifests written before IRLS became the default carry no solver
-    method; they ran the subgradient, so replay runs it again."""
-    if cmd == "estimate":
-        cfg.setdefault("method", "subgradient")
-    elif cmd in ("phase", "experiment"):
-        holder = cfg["scenario" if cmd == "phase" else "spec"]
-        holder.setdefault("solver", {}).setdefault("method", "subgradient")
-
-
 def _run_replay(manifest_path: str) -> HandlerOutput:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     cmd = manifest["subcommand"]
     if cmd not in HANDLERS:
         raise ValueError(f"manifest names unknown subcommand {cmd!r}")
-    _fill_legacy_method(cmd, manifest["config"])
     changed = _changed_files(manifest["inputs"])
     if changed:
         raise ValueError(f"replay: inputs changed since the manifest was "

@@ -9,9 +9,8 @@ solver: least squares in closed form; a sum-of-norms fit of a scalar
 autonomous trajectory exactly, as a weighted median; everything else by
 iteratively reweighted least squares (IRLS), then an optional certified
 refit that jumps from a near-solution to the exact minimizer. The
-diminishing-step subgradient solver stays available through
-``SolverConfig.method`` and as the reference the IRLS fits are tested
-against.
+diminishing-step subgradient solver stays as ``solve_subgradient``, the
+reference the IRLS fits are tested against.
 """
 
 from __future__ import annotations
@@ -179,16 +178,14 @@ def solve_scalar_exact(traj: Trajectory) -> ScalarExactResult:
 class SolverConfig:
     """Knobs for the sum-of-norms solvers.
 
-    ``method`` picks the solver ``fit`` runs: "irls" (solve_irls, the
-    default) or "subgradient" (solve_subgradient, kept so that manifests
-    written before IRLS replay unchanged). ``max_iters`` caps the steps and
-    ``tol`` sets the stop tolerance of both. The rest affect only the
-    subgradient: its step is eta0 / sqrt(k + 1), and eta0 = None calibrates
-    it from the first subgradient so the initial move is ~5% of the
-    coefficient scale, regardless of the state magnitudes; ``warm_start``
-    picks its start when no theta0 is given (IRLS always starts from least
-    squares); ``step_offset`` continues the schedule of an earlier run
-    (warm-started refits keep shrinking instead of restarting at eta0).
+    ``max_iters`` caps the steps and ``tol`` sets the stop tolerance of both
+    solve_irls and solve_subgradient. The rest tune solve_subgradient alone,
+    and ``fit`` (which runs IRLS) rejects non-default values: its step is
+    eta0 / sqrt(k + 1), and eta0 = None calibrates it from the first
+    subgradient so the initial move is ~5% of the coefficient scale,
+    regardless of the state magnitudes; ``warm_start`` picks its start when
+    no theta0 is given; ``step_offset`` continues the schedule of an earlier
+    run (warm-started refits keep shrinking instead of restarting at eta0).
     """
 
     max_iters: int = 20_000
@@ -196,7 +193,6 @@ class SolverConfig:
     tol: float | None = None
     warm_start: str = "least-squares"  # or "zero"
     step_offset: int = 0
-    method: str = "irls"  # or "subgradient"
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -209,8 +205,6 @@ class SolverConfig:
             raise ValueError("warm_start must be 'zero' or 'least-squares'")
         if self.step_offset < 0:
             raise ValueError("step_offset must be >= 0")
-        if self.method not in ("irls", "subgradient"):
-            raise ValueError("method must be 'irls' or 'subgradient'")
 
 
 @dataclass(frozen=True)
@@ -382,8 +376,9 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
 # iteratively reweighted least squares
 
 
-_EPS_FLOOR = 1e-14  # smallest smoothing of the IRLS weights
-_STALL_STEPS = 5    # steps at the floor without progress before IRLS stops
+_EPS_FLOOR = 1e-14   # smallest smoothing of the IRLS weights
+_STALL_STEPS = 5     # window of steps at the floor that IRLS judges progress on
+_STALL_RTOL = 1e-10  # relative fall of the best objective over that window
 
 
 def solve_irls(traj: Trajectory, kind: str = "group-l2",
@@ -404,8 +399,9 @@ def solve_irls(traj: Trajectory, kind: str = "group-l2",
     Starts from least squares, or from ``theta0``. Returns the best iterate
     seen, with the trace on the grid solve_subgradient uses. Stops on best
     objective <= tol ("tolerance", tol = None as for solve_subgradient),
-    when eps is at its floor and the best objective has fallen by at most
-    1e-13 relative for 5 steps ("converged"), or at max_iters. Raises
+    once eps is at its floor and the best objective has fallen by at most
+    1e-10 relative over the last 5 steps ("converged": this also ends the
+    slow crawl IRLS can fall into at the floor), or at max_iters. Raises
     RuntimeError when the objective or the stop tolerance is not finite at
     the start, or when a step fails or leaves a non-finite objective.
     """
@@ -423,12 +419,15 @@ def solve_irls(traj: Trajectory, kind: str = "group-l2",
     trace = [(0, best_obj)]
     log_at = _log_points(cfg.max_iters)
     stop = "max-iters"
-    iters = stalled = 0
+    iters = 0
+    floor_best = []  # best objective before each step taken at the eps floor
 
     if best_obj <= stop_tol:
         stop = "tolerance"
     else:
         for k in range(cfg.max_iters):
+            if eps <= _EPS_FLOOR:
+                floor_best.append(best_obj)
             w = 1.0 / np.sqrt(np.maximum(sizes(R), eps))
             if l2:
                 theta = _lstsq(Z * w[:, None], Y * w[:, None], k + 1)
@@ -441,8 +440,6 @@ def solve_irls(traj: Trajectory, kind: str = "group-l2",
             if not math.isfinite(obj):
                 raise RuntimeError(f"objective diverged at iteration {k + 1}")
             iters = k + 1
-            stalled = (stalled + 1 if eps <= _EPS_FLOOR
-                       and best_obj - obj <= 1e-13 * best_obj else 0)
             if obj < best_obj:
                 best_obj, best_theta = obj, theta
             if iters in log_at:
@@ -450,7 +447,9 @@ def solve_irls(traj: Trajectory, kind: str = "group-l2",
             if best_obj <= stop_tol:
                 stop = "tolerance"
                 break
-            if stalled >= _STALL_STEPS:
+            if (len(floor_best) >= _STALL_STEPS
+                    and floor_best[-_STALL_STEPS] - best_obj
+                    <= _STALL_RTOL * best_obj):
                 stop = "converged"
                 break
             eps = max(eps / 2.0, _EPS_FLOOR)
@@ -541,13 +540,13 @@ def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
     Least squares is solved in closed form (objective nan, stop_reason
     "closed-form") and a sum-of-norms fit of a scalar autonomous trajectory
     exactly by solve_scalar_exact (stop_reason "exact"); both report 0
-    iterations and ignore the other arguments. Anything else runs the solver
-    ``config.method`` names (solve_irls by default, or solve_subgradient)
-    from ``theta0`` or its own start, then with ``polish`` the exact refit of
-    its support once, kept only when its objective is strictly lower; the
-    result reports the solver's iteration count. Raises RuntimeError when
-    the solver's objective or stop tolerance is not finite, or when the
-    solver fails.
+    iterations and ignore the other arguments. Anything else runs
+    solve_irls from ``theta0`` or least squares, then with ``polish`` the
+    exact refit of its support once, kept only when its objective is
+    strictly lower; the result reports the IRLS iteration count. Raises
+    ValueError when ``config`` sets a knob only solve_subgradient reads
+    (eta0, warm_start, step_offset), and RuntimeError when the objective or
+    stop tolerance is not finite at the start, or when an IRLS step fails.
     """
     kind = canonical_kind(kind)
     if kind == "least-squares":
@@ -559,8 +558,11 @@ def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
         obj, stop = exact.objective, "exact"
     else:
         config = config or SolverConfig()
-        solver = solve_irls if config.method == "irls" else solve_subgradient
-        res = solver(traj, kind, config, theta0)
+        if (config.eta0 is not None or config.warm_start != "least-squares"
+                or config.step_offset):
+            raise ValueError("eta0, warm_start and step_offset tune "
+                             "solve_subgradient; fit runs IRLS")
+        res = solve_irls(traj, kind, config, theta0)
         if polish:
             pol = polish_estimate(traj, res.A_hat, res.B_hat, kind)
             if pol is not None and pol.objective < res.objective:

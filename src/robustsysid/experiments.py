@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -149,22 +149,19 @@ def _fit_trial(spec: ExperimentSpec, system: LtiSystem, policy: InputPolicy,
 
     cells = []
     warm = {k: None for k in spec.estimators}
-    offset = {k: 0 for k in spec.estimators}
     for T in spec.T_checkpoints:
         pre = traj.prefix(T)
         for kind in spec.estimators:
-            solver = replace(spec.solver, step_offset=offset[kind])
             try:
-                res = fit(pre, kind, solver, spec.polish, theta0=warm[kind])
+                res = fit(pre, kind, spec.solver, spec.polish,
+                          theta0=warm[kind])
             except RuntimeError:
                 # divergence is recorded, not fatal; restart cold next time
                 warm[kind] = None
-                offset[kind] = 0
                 cells.append(CellRecord(trial, T, kind, math.nan, math.nan, 0,
                                         True, np.full_like(system.A, math.nan),
                                         None))
                 continue
-            offset[kind] += res.iterations_used
             warm[kind] = res.theta()
             err = estimation_error(res.A_hat, system.A, res.B_hat, system.B)
             cells.append(CellRecord(trial, T, kind, err, res.objective,
@@ -178,9 +175,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     Each trial simulates one trajectory of the longest horizon and refits all
     selected estimators on each checkpoint prefix (warm-starting every refit
-    from the previous checkpoint's solution; the subgradient's step schedule
-    continues rather than restarting). Solver divergence or failure marks the
-    cell and is skipped in the aggregates.
+    from the previous checkpoint's solution). Solver divergence or failure
+    marks the cell and is skipped in the aggregates.
     """
     system = resolve_system(spec)
     policy = (InputPolicy() if spec.input_xi == 0.0

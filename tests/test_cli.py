@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from robustsysid.cli import _execute, dispatch
+from robustsysid.cli import dispatch
 
 
 def run(*argv):
@@ -345,77 +345,23 @@ def test_replay_ignores_retired_escalate_key(tmp_path, monkeypatch):
     assert [s["label"] for s in json.loads(cert)["systems"]] == ["l2-ball"]
 
 
-def test_manifests_record_solver_method(tmp_path, monkeypatch):
+def test_replay_ignores_retired_warm_start_key(tmp_path, monkeypatch):
+    # estimate manifests used to record the subgradient's start; IRLS always
+    # starts from least squares, so replay ignores the key
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "sc.json").write_text(json.dumps(
-        {"system": {"random-stable": {"n": 2, "rho": 0.5, "seed": 3}},
-         "estimator": "l2", "solver": {"max_iters": 50}}))
-    (tmp_path / "spec.json").write_text(json.dumps(
-        {"system_source": {"random-stable": {"n": 2, "rho": 0.6, "seed": 1}},
-         "T_checkpoints": [30], "trials": 1, "estimators": ["l1"]}))
-    assert run("simulate", "--random-stable", "2", "0.6", "--T", "30",
-               "--seed", "2", "--out", "t.csv") == 0
-    assert run("estimate", "--traj", "t.csv", "--norm", "l1",
-               "--out", "e.json") == 0
-    assert run("phase", "--scenario", "sc.json", "--t-grid", "20",
-               "--trials", "2", "--out", "curve.csv") == 0
-    assert run("experiment", "--spec", "spec.json", "--out-dir", "exp") == 0
-
-    def config(name):
-        return json.loads((tmp_path / name).read_text())["config"]
-
-    assert config("e.json.manifest.json")["method"] == "irls"
-    assert config("curve.csv.manifest.json")["scenario"]["solver"] == {
-        "method": "irls", "max_iters": 50}
-    assert config("exp/run.manifest.json")["spec"]["solver"]["method"] == "irls"
-
-
-@pytest.mark.parametrize("cmd", ["estimate", "phase", "experiment"])
-def test_replay_runs_subgradient_for_manifest_without_method(
-        tmp_path, monkeypatch, cmd):
-    # a manifest written before the solver method was recorded ran the
-    # subgradient; replay fills the missing key in and reproduces the bytes
-    monkeypatch.chdir(tmp_path)
-    solver = {"max_iters": 200, "method": "subgradient"}
-    (tmp_path / "sc.json").write_text(json.dumps(
-        {"system": {"random-stable": {"n": 2, "rho": 0.6, "seed": 2}},
-         "estimator": "l2", "solver": solver}))
-    (tmp_path / "spec.json").write_text(json.dumps(
-        {"system_source": {"random-stable": {"n": 2, "rho": 0.6, "seed": 1}},
-         "p": 0.4, "T_checkpoints": [30, 60], "trials": 1, "solver": solver}))
     assert run("simulate", "--random-stable", "2", "0.6", "--T", "40",
                "--p", "0.4", "--seed", "2", "--out", "t.csv") == 0
-    argv, outputs, manifest = {
-        "estimate": (["estimate", "--traj", "t.csv", "--norm", "l2",
-                      "--max-iters", "200", "--out", "e.json"],
-                     ["e.json"], "e.json.manifest.json"),
-        "phase": (["phase", "--scenario", "sc.json", "--t-grid", "20,40",
-                   "--trials", "3", "--out", "curve.csv"],
-                  ["curve.csv"], "curve.csv.manifest.json"),
-        "experiment": (["experiment", "--spec", "spec.json", "--out-dir", "x"],
-                       ["x/errors_ls.csv", "x/errors_l2.csv",
-                        "x/errors_l1.csv", "x/experiment_manifest.json"],
-                       "x/run.manifest.json"),
-    }[cmd]
-    assert run(*argv) == 0
-    path = tmp_path / manifest
-    recorded = json.loads(path.read_text())
-    cfg = recorded["config"]
-    if cmd == "estimate":  # no CLI flag picks the solver: rewrite the run
-        cfg["method"] = "subgradient"
-        _execute("estimate", cfg)
-        recorded = json.loads(path.read_text())
-        cfg = recorded["config"]
-    holder = {"estimate": lambda: cfg,
-              "phase": lambda: cfg["scenario"]["solver"],
-              "experiment": lambda: cfg["spec"]["solver"]}[cmd]()
-    assert holder.pop("method") == "subgradient"
-    path.write_text(json.dumps(recorded))
-    before = {f: (tmp_path / f).read_bytes() for f in outputs}
-    for f in outputs:
-        (tmp_path / f).unlink()
-    assert run("replay", "--manifest", manifest) == 0
-    assert {f: (tmp_path / f).read_bytes() for f in outputs} == before
+    assert run("estimate", "--traj", "t.csv", "--norm", "l1",
+               "--out", "e.json") == 0
+    est = (tmp_path / "e.json").read_bytes()
+    path = tmp_path / "e.json.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["warm_start"] = "zero"
+    path.write_text(json.dumps(manifest))
+    assert run("replay", "--manifest", "e.json.manifest.json") == 0
+    assert (tmp_path / "e.json").read_bytes() == est
+    assert run("estimate", "--traj", "t.csv", "--norm", "l1",
+               "--warm-start", "zero") == 1
 
 
 def test_replay_missing_manifest(tmp_path, monkeypatch):

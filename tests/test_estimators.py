@@ -387,16 +387,13 @@ def test_irls_theta0_and_max_iters():
         solve_irls(traj, "least-squares")
 
 
-def test_fit_runs_the_configured_method():
+@pytest.mark.parametrize("knob", [{"eta0": 1.0}, {"warm_start": "zero"},
+                                  {"step_offset": 3}])
+def test_fit_rejects_subgradient_knobs(knob):
     _, traj = _attacked_traj(T=60)
-    cfg = SolverConfig(max_iters=300, method="subgradient")
-    sub = solve_subgradient(traj, "group-l2", cfg)
-    res = fit(traj, "group-l2", cfg, polish=False)
-    assert np.array_equal(res.A_hat, sub.A_hat)
-    assert res.iterations_used == 300 and res.stop_reason == "max-iters"
-    assert fit(traj, "group-l2", polish=False).stop_reason == "converged"
-    with pytest.raises(ValueError):
-        SolverConfig(method="newton")
+    with pytest.raises(ValueError, match="tune solve_subgradient"):
+        fit(traj, "group-l2", SolverConfig(**knob))
+    solve_subgradient(traj, "group-l2", SolverConfig(max_iters=5, **knob))
 
 
 def test_irls_rejects_non_finite_start():
@@ -451,8 +448,11 @@ def test_irls_never_above_subgradient_and_certifies(n, m, rho, p, T, seed,
     traj = simulate(sysd, policy, make_bernoulli(T, p, seed),
                     StealthAttackConfig(sigma=2.0), seed)
     irls = fit(traj, kind, SolverConfig(max_iters=3000))
-    sub = fit(traj, kind, SolverConfig(max_iters=3000, method="subgradient"))
-    assert irls.objective <= sub.objective * (1.0 + 1e-9)
+    sub = solve_subgradient(traj, kind, SolverConfig(max_iters=3000))
+    pol = polish_estimate(traj, sub.A_hat, sub.B_hat, kind)
+    sub_obj = sub.objective if pol is None else min(sub.objective,
+                                                    pol.objective)
+    assert irls.objective <= sub_obj * (1.0 + 1e-9)
     B = sysd.B if m else None
     if kkt_certificate(traj, sysd.A, B, kind).verdict == "optimal":
         cert = kkt_certificate(traj, irls.A_hat, irls.B_hat, kind)

@@ -136,13 +136,23 @@ def test_run_experiment_estimator_subset():
     assert {r.estimator for r in res.aggregates} == {"least-squares"}
 
 
-def test_run_experiment_divergence_recorded():
-    spec = _small_spec(estimators=("l2",),
-                       solver=SolverConfig(max_iters=5, eta0=1e300,
-                                           method="subgradient"))
-    res = run_experiment(spec)
-    assert all(c.diverged for c in res.cells)
+def test_run_experiment_divergence_recorded(monkeypatch):
+    # each fit's least-squares start succeeds and its first IRLS step
+    # raises LinAlgError: every cell is recorded as diverged
+    lstsq = np.linalg.lstsq
+    calls = []
+
+    def alternating(a, b, rcond=None):
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", alternating)
+    res = run_experiment(_small_spec(estimators=("l2",)))
+    assert res.cells and all(c.diverged for c in res.cells)
     assert all(math.isnan(c.error) for c in res.cells)
+    assert len(calls) == 2 * len(res.cells)
     for row in res.aggregates:
         assert row.trials == 0
         assert math.isnan(row.mean_error)
@@ -181,7 +191,8 @@ def test_emit_plot_data_bad_header(tmp_path):
 
 def test_insulin_entry_l1_not_above_truth():
     # p = 0.6, seed 4: a 3000-step subgradient + polish ended entry-l1 above
-    # the truth's objective at T = 64, 82 and 105
+    # the truth's objective at T = 64, 82 and 105; at T = 105 IRLS crawls
+    # (about 5e-12 relative per step) and must stop before its cap
     spec = ExperimentSpec(p=0.6, trials=1, seed=4)
     res = run_experiment(spec)
     ts = trial_seed(spec.seed, 0)
@@ -193,22 +204,4 @@ def test_insulin_entry_l1_not_above_truth():
         truth = float(np.abs(traj.disturbances[:T]).sum())
         assert not cells[T].diverged
         assert cells[T].objective <= truth * (1.0 + 1e-12), T
-
-
-
-def test_run_experiment_records_failed_irls_step(monkeypatch):
-    # each fit's least-squares start succeeds and its first IRLS step
-    # raises LinAlgError: every cell is recorded as diverged
-    lstsq = np.linalg.lstsq
-    calls = []
-
-    def alternating(a, b, rcond=None):
-        calls.append(None)
-        if len(calls) % 2 == 0:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return lstsq(a, b, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", alternating)
-    res = run_experiment(_small_spec(estimators=("l2",)))
-    assert res.cells and all(c.diverged for c in res.cells)
-    assert len(calls) == 2 * len(res.cells)
+    assert all(c.iterations < spec.solver.max_iters for c in res.cells)
