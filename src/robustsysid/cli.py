@@ -30,9 +30,9 @@ from .estimators import SolverConfig, estimation_error, fit
 from .experiments import (emit_plot_data, run_experiment, spec_from_dict,
                           spec_to_dict, system_from_source)
 from .lti import (AttackSchedule, GaussianAttackConfig, InputPolicy,
-                  StealthAttackConfig, load_system_json, load_trajectory_csv,
-                  make_bernoulli, make_delta_spaced, save_system_json,
-                  save_trajectory_csv, simulate)
+                  StealthAttackConfig, _require, load_system_json,
+                  load_trajectory_csv, make_bernoulli, make_delta_spaced,
+                  save_system_json, save_trajectory_csv, simulate)
 
 
 class _UsageError(Exception):
@@ -68,6 +68,14 @@ def _json_line(payload) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
+def _load_object(path: str, what: str) -> dict:
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: {what} is a JSON object")
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # shared config resolution
 
@@ -75,6 +83,7 @@ def _json_line(payload) -> str:
 def _attack_from_cfg(d):
     if d is None:
         return None
+    _require(d, "attack_model", "model")
     if d["model"] == "gaussian":
         support = tuple(d["support"]) if d.get("support") else None
         return GaussianAttackConfig(float(d.get("variance", 10.0)), support,
@@ -87,11 +96,16 @@ def _attack_from_cfg(d):
 
 
 def _policy_from_cfg(d):
-    if d is None or d.get("kind", "zero") == "zero":
+    if d is None:
+        return InputPolicy()
+    _require(d, "policy")
+    if d.get("kind", "zero") == "zero":
         return InputPolicy()
     if d["kind"] == "iid-gaussian":
+        _require(d, "an iid-gaussian policy", "xi")
         return InputPolicy("iid-gaussian", float(d["xi"]))
     if d["kind"] == "feedback":
+        _require(d, "a feedback policy", "xi", "K_fb")
         return InputPolicy("feedback", float(d["xi"]), np.asarray(d["K_fb"]))
     raise ValueError(f"unrecognized input policy: {d['kind']!r}")
 
@@ -162,11 +176,8 @@ def _run_certify(cfg: dict) -> HandlerOutput:
     traj = load_trajectory_csv(cfg["traj"])
     inputs = [cfg["traj"]]
     if cfg.get("estimate"):
-        with open(cfg["estimate"]) as fh:
-            est = json.load(fh)
-        if not isinstance(est, dict) or "A_hat" not in est:
-            raise ValueError(f"{cfg['estimate']}: an estimate JSON is an "
-                             f"object with a matrix A_hat")
+        est = _load_object(cfg["estimate"], "an estimate")
+        _require(est, cfg["estimate"], "A_hat")
         A_hat = np.asarray(est["A_hat"], dtype=float)
         B_hat = None if est.get("B_hat") is None else np.asarray(est["B_hat"])
         inputs.append(cfg["estimate"])
@@ -491,8 +502,7 @@ def _cfg_bound(args) -> dict:
 
 
 def _cfg_phase(args) -> dict:
-    with open(args.scenario) as fh:
-        scenario = json.load(fh)
+    scenario = _load_object(args.scenario, "a phase scenario")
     t_grid = [int(t) for t in _ints(args.t_grid)]
     return {"scenario": scenario, "scenario_file": args.scenario,
             "t_grid": t_grid, "trials": args.trials,
@@ -505,8 +515,7 @@ def _cfg_phase(args) -> dict:
 def _cfg_experiment(args) -> dict:
     payload = {}
     if args.spec:
-        with open(args.spec) as fh:
-            payload = json.load(fh)
+        payload = _load_object(args.spec, "an experiment spec")
     if args.p is not None:
         payload["p"] = args.p
     if args.sparse is not None:

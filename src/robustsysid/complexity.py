@@ -12,7 +12,6 @@ the empirical counterpart: recovery frequency as a function of the horizon.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,8 +20,8 @@ import numpy as np
 
 from .estimators import SolverConfig, canonical_kind, estimation_error, fit
 from .lti import (GaussianAttackConfig, InputPolicy, LtiSystem,
-                  StealthAttackConfig, make_bernoulli, make_delta_spaced,
-                  simulate)
+                  StealthAttackConfig, _integer, _real, make_bernoulli,
+                  make_delta_spaced, simulate)
 from .rng import trial_seed
 
 _DPS = 50  # working decimal digits for the formula evaluations
@@ -192,14 +191,6 @@ def input_bound_constants(system: LtiSystem, xi: float, sigma: float,
 # empirical phase transitions
 
 
-def _real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class PhaseScenario:
     """Everything a recovery trial needs except the horizon and the seed."""
@@ -228,8 +219,8 @@ class PhaseScenario:
             raise ValueError("first_attack must be an integer >= 0")
         if not isinstance(self.polish, bool):
             raise ValueError("polish must be true or false")
-        if not 0.0 < self.success_level <= 1.0:
-            raise ValueError("success_level must lie in (0, 1]")
+        if not (_real(self.success_level) and 0.0 < self.success_level <= 1.0):
+            raise ValueError("success_level must be a number in (0, 1]")
         object.__setattr__(self, "estimator", canonical_kind(self.estimator))
         if self.attack_cfg is None:
             object.__setattr__(self, "attack_cfg", StealthAttackConfig())

@@ -9,8 +9,8 @@ solver: least squares in closed form; a sum-of-norms fit of a scalar
 autonomous trajectory exactly, as a weighted median; everything else by
 iteratively reweighted least squares (IRLS), then an optional certified
 refit that jumps from a near-solution to the exact minimizer. The
-diminishing-step subgradient solver stays as ``solve_subgradient``, the
-reference the IRLS fits are tested against.
+diminishing-step subgradient solver ``solve_subgradient``, whose step size is
+its own argument, is the reference the IRLS fits are tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lti import Trajectory
+from .lti import Trajectory, _integer, _real
 
 KINDS = ("least-squares", "group-l2", "entry-l1")
 
@@ -171,40 +171,22 @@ def solve_scalar_exact(traj: Trajectory) -> ScalarExactResult:
 
 
 # ---------------------------------------------------------------------------
-# subgradient solver
+# iterative sum-of-norms solvers
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the sum-of-norms solvers.
-
-    ``max_iters`` caps the steps and ``tol`` sets the stop tolerance of both
-    solve_irls and solve_subgradient. The rest tune solve_subgradient alone,
-    and ``fit`` (which runs IRLS) rejects non-default values: its step is
-    eta0 / sqrt(k + 1), and eta0 = None calibrates it from the first
-    subgradient so the initial move is ~5% of the coefficient scale,
-    regardless of the state magnitudes; ``warm_start`` picks its start when
-    no theta0 is given; ``step_offset`` continues the schedule of an earlier
-    run (warm-started refits keep shrinking instead of restarting at eta0).
-    """
+    """Settings of solve_irls and solve_subgradient: ``max_iters`` caps the
+    steps, ``tol`` stops on the best objective (None: scale-aware default)."""
 
     max_iters: int = 20_000
-    eta0: float | None = None
     tol: float | None = None
-    warm_start: str = "least-squares"  # or "zero"
-    step_offset: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.eta0 is not None and not self.eta0 > 0:
-            raise ValueError("eta0 must be positive")
-        if self.tol is not None and self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.warm_start not in ("zero", "least-squares"):
-            raise ValueError("warm_start must be 'zero' or 'least-squares'")
-        if self.step_offset < 0:
-            raise ValueError("step_offset must be >= 0")
+        if not (_integer(self.max_iters) and self.max_iters >= 0):
+            raise ValueError("max_iters must be an integer >= 0")
+        if self.tol is not None and not (_real(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be a number >= 0")
 
 
 @dataclass(frozen=True)
@@ -243,13 +225,12 @@ def _lstsq(Z: np.ndarray, Y: np.ndarray, step: int) -> np.ndarray:
             f"least squares failed at iteration {step}: {exc}") from exc
 
 
-def _start(traj: Trajectory, kind: str, cfg: SolverConfig, theta0,
-           zero: bool = False):
+def _start(traj: Trajectory, kind: str, cfg: SolverConfig, theta0=None):
     """Regressors, starting coefficients and stop tolerance of a solver.
 
-    The start is ``theta0`` when given, else zero (``zero``) or least
-    squares. Raises RuntimeError when the least-squares start fails or when
-    the objective at the start or the stop tolerance is not finite.
+    The start is ``theta0`` when given, else least squares. Raises
+    RuntimeError when the least-squares start fails or when the objective at
+    the start or the stop tolerance is not finite.
     """
     kind = canonical_kind(kind)
     if kind == "least-squares":
@@ -260,8 +241,6 @@ def _start(traj: Trajectory, kind: str, cfg: SolverConfig, theta0,
         theta = np.array(theta0, dtype=float)
         if theta.shape != shape:
             raise ValueError(f"theta0 must have shape {shape}, got {theta.shape}")
-    elif zero:
-        theta = np.zeros(shape)
     else:
         theta = _lstsq(Z, Y, 0)
     if not math.isfinite(_norm_sum(Y - Z @ theta, kind)):
@@ -275,34 +254,45 @@ def _start(traj: Trajectory, kind: str, cfg: SolverConfig, theta0,
     return kind, Z, Y, theta, stop_tol
 
 
+def _finish(traj: Trajectory, kind: str, best_theta, best_obj: float,
+            iters: int, trace: list, stop: str) -> EstimationResult:
+    """EstimationResult of a solver run; closes the trace at ``iters``."""
+    if trace[-1][0] != iters:
+        trace.append((iters, best_obj))
+    A_hat, B_hat = _split(best_theta, traj.n, traj.m)
+    return EstimationResult(
+        A_hat=A_hat, B_hat=B_hat, objective=best_obj,
+        residuals=residual_matrix(traj, A_hat, B_hat),
+        iterations_used=iters, trace=tuple(trace), kind=kind, stop_reason=stop)
+
+
 def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
                       config: SolverConfig | None = None,
-                      theta0=None) -> EstimationResult:
+                      eta0: float | None = None) -> EstimationResult:
     """Diminishing-step subgradient descent on the sum-of-norms objective.
 
-    Residual rows r_t accumulate subgradient directions g_t x_t^T (and
-    g_t u_t^T) with g_t = r_t/||r_t||_2 for group-l2, sign(r_t) for entry-l1,
-    and g_t = 0 at r_t = 0, so an exact solution is a fixed point. Returns the
-    best iterate seen; the trace logs (iteration, best objective) on a sparse
-    geometric grid. Stops on best objective <= tol (tol = None picks
-    1e-9 * (1 + sum_t ||x_{t+1}||_2), so exact fits stop immediately at any
-    data scale) or at max_iters.
+    The reference solver the IRLS fits are tested against (``fit`` does not
+    run it), started from least squares. Residual rows r_t accumulate
+    subgradient directions g_t x_t^T (and g_t u_t^T) with g_t = r_t/||r_t||_2
+    for group-l2, sign(r_t) for entry-l1, and g_t = 0 at r_t = 0, so an exact
+    solution is a fixed point. Step k has size eta0 / sqrt(k + 1); eta0 =
+    None calibrates it so the first move is ~5% of the coefficient scale.
+    Returns the best iterate seen; the trace logs (iteration, best
+    objective) on a sparse geometric grid. Stops on best objective <= tol
+    (tol = None picks 1e-9 * (1 + sum_t ||x_{t+1}||_2), so exact fits stop
+    immediately at any data scale) or at max_iters.
 
-    ``theta0`` (stacked (n+m, n) coefficients, see EstimationResult.theta)
-    overrides config.warm_start — used to chain refits across growing
-    prefixes of one trajectory. Raises RuntimeError when the objective or the
-    stop tolerance is not finite at the start, or when the objective becomes
-    non-finite (divergence).
+    Raises ValueError when eta0 is not positive, and RuntimeError when the
+    objective or the stop tolerance is not finite at the start, or when the
+    objective becomes non-finite (divergence).
     """
+    if eta0 is not None and not eta0 > 0:
+        raise ValueError("eta0 must be positive")
     cfg = config or SolverConfig()
-    kind, Z, Y, theta, stop_tol = _start(traj, kind, cfg, theta0,
-                                         zero=cfg.warm_start == "zero")
-    T = Z.shape[0]
-    n = traj.n
-
+    kind, Z, Y, theta, stop_tol = _start(traj, kind, cfg)
     R = np.empty_like(Y)
     G = np.empty_like(Y)
-    norms = np.empty(T)
+    norms = np.empty(Z.shape[0])
     l2 = kind == "group-l2"
 
     def eval_objective(th) -> float:
@@ -315,14 +305,9 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
         return float(np.abs(R).sum())
 
     obj = eval_objective(theta)
-    if cfg.eta0 is not None:
-        eta0 = cfg.eta0
-    else:
-        # Calibrate so the first step moves theta by ~5% of its scale; the
-        # 1/sqrt(k) decay then sweeps the step length downward from there.
-        # A fixed data-independent step misbehaves badly when ||x_t|| is
-        # large: the subgradient norm grows with the state scale while the
-        # distance to the optimum does not.
+    if eta0 is None:
+        # a fixed step misbehaves at large ||x_t||: the subgradient grows
+        # with the state scale while the distance to the optimum does not
         if l2:
             G[:] = R / np.maximum(norms, 1e-300)[:, None]
         else:
@@ -346,7 +331,7 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
                 G[:] = R / np.maximum(norms, 1e-300)[:, None]
             else:
                 np.sign(R, out=G)
-            eta = eta0 / math.sqrt(k + cfg.step_offset + 1)
+            eta = eta0 / math.sqrt(k + 1)
             theta += eta * (Z.T @ G)
 
             obj = eval_objective(theta)
@@ -363,13 +348,7 @@ def solve_subgradient(traj: Trajectory, kind: str = "group-l2",
                 stop = "tolerance"
                 break
 
-    if trace[-1][0] != iters:
-        trace.append((iters, best_obj))
-    A_hat, B_hat = _split(best_theta, n, traj.m)
-    return EstimationResult(
-        A_hat=A_hat, B_hat=B_hat, objective=best_obj,
-        residuals=residual_matrix(traj, A_hat, B_hat),
-        iterations_used=iters, trace=tuple(trace), kind=kind, stop_reason=stop)
+    return _finish(traj, kind, best_theta, best_obj, iters, trace, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +433,22 @@ def solve_irls(traj: Trajectory, kind: str = "group-l2",
                 break
             eps = max(eps / 2.0, _EPS_FLOOR)
 
-    if trace[-1][0] != iters:
-        trace.append((iters, best_obj))
-    A_hat, B_hat = _split(best_theta, traj.n, traj.m)
-    return EstimationResult(
-        A_hat=A_hat, B_hat=B_hat, objective=best_obj,
-        residuals=residual_matrix(traj, A_hat, B_hat),
-        iterations_used=iters, trace=tuple(trace), kind=kind, stop_reason=stop)
+    return _finish(traj, kind, best_theta, best_obj, iters, trace, stop)
+
+
+_POLISH_ROUNDS = 3       # refit rounds, each splitting at the last round's residuals
+_POLISH_SPLITS = 4       # largest gaps tried as the clean/attacked split per round
+_POLISH_MIN_RATIO = 2.0  # smallest multiplicative gap that counts as a split
 
 
 def polish_estimate(traj: Trajectory, A0, B0=None, kind: str = "group-l2",
-                    max_splits: int = 4, rounds: int = 3,
-                    certify: bool = True, min_ratio: float = 2.0):
+                    certify: bool = True):
     """Jump from a near-solution to the exact minimizer by support trimming.
 
     Sorts the residual row norms at the current iterate, splits them at the
-    largest multiplicative gaps (clean rows below, attacked rows above),
-    refits (A, B) by least squares on the clean rows, and keeps the refit
-    with the lowest sum-of-norms objective; repeats up to ``rounds`` times
+    4 largest multiplicative gaps of at least 2 (clean rows below, attacked
+    rows above), refits (A, B) by least squares on the clean rows, and keeps
+    the refit with the lowest sum-of-norms objective; repeats up to 3 rounds
     so a partially-right split can sharpen the next one. Acceptance is by
     strict objective decrease, which is sound for a convex objective no
     matter how the candidate was produced. Returns an EstimationResult or
@@ -499,14 +476,14 @@ def polish_estimate(traj: Trajectory, A0, B0=None, kind: str = "group-l2",
     base_obj = _norm_sum(R_cur, kind)
     A_cur, B_cur, obj_cur = None, None, base_obj
 
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         s_all = row_norms(R_cur)
         order = np.argsort(s_all, kind="stable")
         s = s_all[order]
         ratios = s[1:] / np.maximum(s[:-1], 1e-300)
         step = None
-        for j in np.argsort(ratios)[::-1][:max_splits]:
-            if ratios[j] < min_ratio:  # no plausible separation left
+        for j in np.argsort(ratios)[::-1][:_POLISH_SPLITS]:
+            if ratios[j] < _POLISH_MIN_RATIO:  # no plausible separation left
                 break
             if j + 1 < d:  # refit would be underdetermined
                 continue
@@ -541,12 +518,11 @@ def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
     "closed-form") and a sum-of-norms fit of a scalar autonomous trajectory
     exactly by solve_scalar_exact (stop_reason "exact"); both report 0
     iterations and ignore the other arguments. Anything else runs
-    solve_irls from ``theta0`` or least squares, then with ``polish`` the
-    exact refit of its support once, kept only when its objective is
-    strictly lower; the result reports the IRLS iteration count. Raises
-    ValueError when ``config`` sets a knob only solve_subgradient reads
-    (eta0, warm_start, step_offset), and RuntimeError when the objective or
-    stop tolerance is not finite at the start, or when an IRLS step fails.
+    solve_irls with ``config`` from ``theta0`` or least squares, then with
+    ``polish`` the exact refit of its support once, kept only when its
+    objective is strictly lower; the result reports the IRLS iteration
+    count. Raises RuntimeError when the objective or stop tolerance is not
+    finite at the start, or when an IRLS step fails.
     """
     kind = canonical_kind(kind)
     if kind == "least-squares":
@@ -557,11 +533,6 @@ def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
         A_hat, B_hat = np.array([[exact.a_hat]]), None
         obj, stop = exact.objective, "exact"
     else:
-        config = config or SolverConfig()
-        if (config.eta0 is not None or config.warm_start != "least-squares"
-                or config.step_offset):
-            raise ValueError("eta0, warm_start and step_offset tune "
-                             "solve_subgradient; fit runs IRLS")
         res = solve_irls(traj, kind, config, theta0)
         if polish:
             pol = polish_estimate(traj, res.A_hat, res.B_hat, kind)

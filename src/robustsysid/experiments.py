@@ -21,9 +21,9 @@ import numpy as np
 
 from .estimators import SolverConfig, canonical_kind, estimation_error, fit
 from .lti import (GaussianAttackConfig, InputPolicy, LtiSystem,
-                  StealthAttackConfig, discretize_euler, hovorka_continuous,
-                  load_system_json, make_bernoulli, random_stable_system,
-                  simulate)
+                  StealthAttackConfig, _integer, _real, _require,
+                  discretize_euler, hovorka_continuous, load_system_json,
+                  make_bernoulli, random_stable_system, simulate)
 from .rng import trial_seed
 
 SHORT_NAMES = {"least-squares": "ls", "group-l2": "l2", "entry-l1": "l1"}
@@ -59,21 +59,31 @@ class ExperimentSpec:
     polish: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.attack_variance <= 0:
-            raise ValueError("attack_variance must be positive")
+        if not (_real(self.p) and 0.0 <= self.p <= 1.0):
+            raise ValueError("p must be a number in [0, 1]")
+        if not (_real(self.attack_variance) and self.attack_variance > 0):
+            raise ValueError("attack_variance must be a positive number")
         if self.attack_model not in ("gaussian", "stealth"):
             raise ValueError("attack_model must be 'gaussian' or 'stealth'")
         if self.sparse_support is not None:
             if self.attack_model != "gaussian":
                 raise ValueError("sparse_support needs the gaussian attack model")
+            if not all(_integer(i) for i in self.sparse_support):
+                raise ValueError("sparse_support entries must be integers")
             object.__setattr__(self, "sparse_support",
                                tuple(int(i) for i in self.sparse_support))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.input_xi < 0:
-            raise ValueError("input_xi must be >= 0")
+        if not (_integer(self.trials) and self.trials >= 1):
+            raise ValueError("trials must be an integer >= 1")
+        if not _integer(self.seed):
+            raise ValueError("seed must be an integer")
+        if not isinstance(self.polish, bool):
+            raise ValueError("polish must be true or false")
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError("solver must be a SolverConfig")
+        if not (_real(self.input_xi) and self.input_xi >= 0):
+            raise ValueError("input_xi must be a number >= 0")
+        if not all(_integer(t) for t in self.T_checkpoints):
+            raise ValueError("T_checkpoints entries must be integers")
         cps = tuple(int(t) for t in self.T_checkpoints) or default_checkpoints()
         if any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
             raise ValueError("T_checkpoints must be strictly increasing and >= 1")
@@ -92,7 +102,8 @@ def system_from_source(src, dt: float = 0.5, seed: int = 0) -> LtiSystem:
     if isinstance(src, dict) and "file" in src:
         return load_system_json(src["file"])
     if isinstance(src, dict) and "random-stable" in src:
-        kw = dict(src["random-stable"])
+        kw = src["random-stable"]
+        _require(kw, "a random-stable system source", "n", "rho")
         return random_stable_system(int(kw["n"]), float(kw["rho"]),
                                     int(kw.get("seed", seed)),
                                     int(kw.get("m", 0)))
@@ -212,12 +223,9 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def spec_from_dict(payload: dict) -> ExperimentSpec:
-    payload = dict(payload)
-    if "solver" in payload and isinstance(payload["solver"], dict):
+    payload = dict(payload)  # ExperimentSpec turns the lists into tuples
+    if isinstance(payload.get("solver"), dict):
         payload["solver"] = SolverConfig(**payload["solver"])
-    for key in ("T_checkpoints", "estimators", "sparse_support"):
-        if payload.get(key) is not None:
-            payload[key] = tuple(payload[key])
     return ExperimentSpec(**payload)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -43,6 +44,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+# checks shared by the loaders of systems, specs and scenarios
+
+
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _require(d, what: str, *keys) -> None:
+    """ValueError naming ``what`` unless ``d`` is a dict with all ``keys``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} needs the key {key!r}")
 
 
 def spectral_radius(A) -> float:
@@ -630,8 +651,7 @@ def load_system_json(path) -> LtiSystem:
     (no B: autonomous); optional n and m fields must agree with them."""
     with open(path) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or "A" not in payload:
-        raise ValueError(f"{path}: a system JSON is an object with a matrix A")
+    _require(payload, f"{path}: a system JSON", "A")
     system = LtiSystem(np.asarray(payload["A"], dtype=float), payload.get("B"))
     if (payload.get("n", system.n) != system.n
             or payload.get("m", system.m) != system.m):

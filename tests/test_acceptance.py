@@ -196,8 +196,7 @@ def test_subgradient_rate_half_order():
     traj = simulate(sysd, InputPolicy(), sched, StealthAttackConfig(sigma=2.0),
                     seed=2024)
     res = solve_subgradient(traj, "group-l2",
-                            SolverConfig(max_iters=1_000_000, tol=0.0,
-                                         warm_start="least-squares"))
+                            SolverConfig(max_iters=1_000_000, tol=0.0))
     ks = np.array([k for k, _ in res.trace], dtype=float)
     vs = np.array([v for _, v in res.trace])
     opt = vs[-1]

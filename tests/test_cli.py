@@ -398,14 +398,25 @@ def test_phase_cli_rejects_unknown_scenario_key(capfd, tmp_path, monkeypatch):
     assert not (tmp_path / "curve.csv").exists()
 
 
-@pytest.mark.parametrize("bad", [{"polish": "no"}, {"p": 2}, {"delta": 0},
-                                 {"delta": 2.5}],
-                         ids=["polish-no", "p-2", "delta-0", "delta-2.5"])
+_SCENARIO = {"system": {"random-stable": {"n": 2, "rho": 0.5, "seed": 3}}}
+
+
+@pytest.mark.parametrize("scenario, names", [
+    ({**_SCENARIO, "polish": "no"}, "polish"),
+    ({**_SCENARIO, "p": 2}, "p"),
+    ({**_SCENARIO, "delta": 0}, "delta"),
+    ({**_SCENARIO, "delta": 2.5}, "delta"),
+    ({**_SCENARIO, "solver": {"eta0": 1.0}}, "eta0"),
+    ({**_SCENARIO, "attack_model": {"sigma": 2.0}}, "'model'"),
+    ({**_SCENARIO, "policy": {"kind": "iid-gaussian"}}, "'xi'"),
+    ({"system": {"random-stable": {"rho": 0.5}}}, "'n'"),
+    ([_SCENARIO], "sc.json"),
+], ids=["polish-no", "p-2", "delta-0", "delta-2.5", "solver-eta0",
+        "attack-model-no-model", "policy-no-xi", "random-stable-no-n",
+        "list-file"])
 def test_phase_cli_rejects_bad_scenario_value(capfd, tmp_path, monkeypatch,
-                                              bad):
+                                              scenario, names):
     monkeypatch.chdir(tmp_path)
-    scenario = {"system": {"random-stable": {"n": 2, "rho": 0.5, "seed": 3}},
-                **bad}
     (tmp_path / "sc.json").write_text(json.dumps(scenario))
     capfd.readouterr()
     assert run("phase", "--scenario", "sc.json", "--t-grid", "10",
@@ -414,8 +425,36 @@ def test_phase_cli_rejects_bad_scenario_value(capfd, tmp_path, monkeypatch,
     assert out == ""
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert next(iter(bad)) in err[0] and "trial" not in err[0], err
+    assert names in err[0] and "trial" not in err[0], err
     assert not (tmp_path / "curve.csv").exists()
+
+
+_SPEC = {"system_source": {"random-stable": {"n": 2, "rho": 0.6, "seed": 1}},
+         "T_checkpoints": [40, 80], "trials": 1}
+
+
+@pytest.mark.parametrize("spec, names", [
+    ({**_SPEC, "solver": {"warm_start": "zero"}}, "warm_start"),
+    ({**_SPEC, "polish": "no"}, "polish"),
+    ({**_SPEC, "T_checkpoints": [50.7, 60]}, "T_checkpoints"),
+    ({**_SPEC, "sparse_support": [3.5]}, "sparse_support"),
+    ({**_SPEC, "trials": 2.5}, "trials"),
+    ({**_SPEC, "system_source": {"random-stable": {"rho": 0.5}}}, "'n'"),
+    ([_SPEC], "spec.json"),
+], ids=["solver-warm-start", "polish-no", "T-fraction", "support-fraction",
+        "trials-fraction", "random-stable-no-n", "list-file"])
+def test_experiment_cli_rejects_bad_spec(capfd, tmp_path, monkeypatch, spec,
+                                         names):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    capfd.readouterr()
+    assert run("experiment", "--spec", "spec.json", "--out-dir", "out") == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert names in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_cli_with_overrides(tmp_path, monkeypatch):

@@ -210,7 +210,7 @@ def test_phase_ls_estimator_fails_under_attack():
     {"p": 2}, {"p": -0.1}, {"p": float("nan")}, {"p": "0.3"},
     {"delta": 0}, {"delta": 2.5}, {"delta": True},
     {"first_attack": -1}, {"first_attack": 1.0},
-    {"polish": "no"}, {"polish": 1},
+    {"polish": "no"}, {"polish": 1}, {"success_level": "0.9"},
 ], ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
 def test_phase_scenario_rejects_bad_values(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):

@@ -247,7 +247,14 @@ def test_subgradient_divergence_names_iteration():
     traj = simulate(sysd, InputPolicy(), make_delta_spaced(30, 2, 0),
                     StealthAttackConfig(sigma=1.0), seed=3)
     with pytest.raises(RuntimeError, match=r"iteration \d+"):
-        solve_subgradient(traj, "group-l2", SolverConfig(max_iters=50, eta0=1e300))
+        solve_subgradient(traj, "group-l2", SolverConfig(max_iters=50),
+                          eta0=1e300)
+
+
+@pytest.mark.parametrize("eta0", [0.0, -1.0, math.nan])
+def test_subgradient_rejects_non_positive_eta0(eta0):
+    with pytest.raises(ValueError, match="eta0"):
+        solve_subgradient(TOY, "group-l2", eta0=eta0)
 
 
 def test_subgradient_rejects_non_finite_start():
@@ -296,21 +303,6 @@ def test_fit_scalar_is_exact(kind):
         assert res.iterations_used == 0
         assert res.stop_reason == "exact"
     assert abs(fit(traj, kind).A_hat[0, 0] - 0.7) <= 1e-12
-
-
-def test_subgradient_theta0_chaining():
-    sysd = random_stable_system(3, 0.7, seed=17)
-    traj = simulate(sysd, InputPolicy(), make_delta_spaced(90, 3, 0),
-                    StealthAttackConfig(sigma=2.0), seed=17)
-    first = solve_subgradient(traj, "group-l2", SolverConfig(max_iters=500))
-    second = solve_subgradient(
-        traj, "group-l2",
-        SolverConfig(max_iters=500, step_offset=first.iterations_used,
-                     eta0=None),
-        theta0=first.theta())
-    assert second.objective <= first.objective + 1e-12
-    with pytest.raises(ValueError):
-        solve_subgradient(traj, "group-l2", theta0=np.zeros((5, 2)))
 
 
 def test_subgradient_rejects_ls_kind():
@@ -387,13 +379,13 @@ def test_irls_theta0_and_max_iters():
         solve_irls(traj, "least-squares")
 
 
-@pytest.mark.parametrize("knob", [{"eta0": 1.0}, {"warm_start": "zero"},
-                                  {"step_offset": 3}])
-def test_fit_rejects_subgradient_knobs(knob):
-    _, traj = _attacked_traj(T=60)
-    with pytest.raises(ValueError, match="tune solve_subgradient"):
-        fit(traj, "group-l2", SolverConfig(**knob))
-    solve_subgradient(traj, "group-l2", SolverConfig(max_iters=5, **knob))
+@pytest.mark.parametrize("key, value", [("eta0", 1.0), ("warm_start", "zero"),
+                                        ("step_offset", 3)],
+                         ids=["eta0", "warm_start", "step_offset"])
+def test_solver_config_rejects_retired_keys(key, value):
+    # the subgradient's step knobs and zero start are not solver settings
+    with pytest.raises(TypeError, match=key):
+        SolverConfig(**{key: value})
 
 
 def test_irls_rejects_non_finite_start():

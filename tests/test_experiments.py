@@ -47,8 +47,29 @@ def test_spec_validation():
 def test_spec_roundtrip():
     spec = ExperimentSpec(p=0.4, attack_model="gaussian", sparse_support=(3, 5),
                           trials=2, T_checkpoints=(100, 200), seed=9,
-                          solver=SolverConfig(max_iters=750, step_offset=3))
+                          solver=SolverConfig(max_iters=750, tol=1e-6))
     assert spec_from_dict(spec_to_dict(spec)) == spec
+
+
+@pytest.mark.parametrize("bad", [
+    {"p": "0.3"}, {"attack_variance": "10"}, {"input_xi": "1"},
+    {"polish": "no"}, {"polish": 1},
+    {"trials": 2.5}, {"trials": True}, {"seed": 1.0},
+    {"T_checkpoints": (50.7, 60)}, {"sparse_support": (3.5,)},
+    {"solver": {"max_iters": 10}},
+], ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
+def test_spec_rejects_bad_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ExperimentSpec(**bad)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_iters", "10"), ("max_iters", -1), ("max_iters", 2.5),
+    ("tol", "1e-6"), ("tol", -1.0), ("tol", math.nan),
+])
+def test_solver_config_rejects_bad_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        SolverConfig(**{key: value})
 
 
 def test_spec_estimator_aliases():
