@@ -7,9 +7,11 @@ R^n. Entry-l1 asks it once per coordinate with v_i in R^1, where the ball is
 the box: do multipliers w with ||w||_inf <= 1 exist with F w = g, where F
 collects the free regressors and g the pinned subgradient load? By duality
 this holds iff f(z) = z'g + ||z'F||_1 is nonnegative on the unit sphere. One
-projected-gradient solver, ``_ball_feasible``, decides both. Every verdict
-ships a checkable witness: a feasible w or V, or a direction z or Z along
-which the dual value is negative.
+projected-gradient solver, ``_ball_feasible``, decides both. Every 50 steps
+it tests the dual value of the current residual direction and stops at the
+first direction that refutes feasibility. Every verdict ships a checkable
+witness: a feasible w or V, or a direction z or Z along which the dual value
+is negative.
 
 Also here: the scalar clean-mass condition, the Krylov span condition and the
 eigenvalue-sum condition for periodic attacks, and the spectral-radius
@@ -28,6 +30,7 @@ from .estimators import _regressors, canonical_kind, residual_matrix
 from .lti import Trajectory
 
 NET_BUDGET = 10_000_000  # hard cap on sphere-net evaluations
+DUAL_CHECK_EVERY = 50  # projected-gradient steps between refutation tests
 
 
 @dataclass(frozen=True)
@@ -286,6 +289,11 @@ def _ball_feasible(columns: np.ndarray, G: np.ndarray, tol: float,
     exact optimum): not-optimal, margin that value, witness the direction.
     Otherwise inconclusive, margin ||R||, witness V. Returns (verdict,
     margin, V or None, Z or None).
+
+    The not-optimal test also runs every DUAL_CHECK_EVERY steps and ends
+    the run at the first refuted direction (a negative dual value proves
+    infeasibility). It only reads V, so a run that does not stop early
+    takes the same iterates as one without the test.
     """
     n = G.shape[0]
     q = columns.shape[0]
@@ -306,6 +314,16 @@ def _ball_feasible(columns: np.ndarray, G: np.ndarray, tol: float,
     if cn.max() <= 1.0 and np.linalg.norm(V @ Zc - G) <= tol:
         return "optimal", float(np.linalg.norm(V @ Zc - G)), V, None
 
+    def refute(V):
+        # reads V only: (||R||, dual value of -R/||R||, that direction); the
+        # value is tested only when ||R|| > 10*tol and is +inf otherwise
+        R = V @ Zc - G
+        rnorm = float(np.linalg.norm(R))
+        if rnorm <= 10.0 * tol:
+            return rnorm, math.inf, None
+        Zdir = -R / rnorm
+        return rnorm, ball_dual_value(columns, G, Zdir), Zdir
+
     V = V / np.maximum(cn, 1.0)
     Zs = Zc.T / spec ** 2  # gradient step 1/L folded into the regressors
     for it in range(max_iters):
@@ -317,15 +335,16 @@ def _ball_feasible(columns: np.ndarray, G: np.ndarray, tol: float,
             break
         if (it + 1) % 500 == 0:
             V = _refine(Zc, G, V)
+        if (it + 1) % DUAL_CHECK_EVERY == 0:
+            _, val, Zdir = refute(V)
+            if val < 0.0:
+                return "not-optimal", val, None, Zdir
     V = _refine(Zc, G, V)
 
-    R = V @ Zc - G
-    rnorm = float(np.linalg.norm(R))
+    rnorm, val, Zdir = refute(V)
     if rnorm <= tol:
         return "optimal", rnorm, V, None
-    Zdir = -R / rnorm
-    val = ball_dual_value(columns, G, Zdir)
-    if rnorm > 10.0 * tol and val < 0.0:
+    if val < 0.0:
         return "not-optimal", val, None, Zdir
     return "inconclusive", rnorm, V, None
 

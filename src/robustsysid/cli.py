@@ -85,8 +85,9 @@ def _attack_from_cfg(d):
         return None
     _require(d, "attack_model", "model")
     if d["model"] == "gaussian":
-        support = tuple(d["support"]) if d.get("support") else None
-        return GaussianAttackConfig(float(d.get("variance", 10.0)), support,
+        support = d.get("support")
+        return GaussianAttackConfig(float(d.get("variance", 10.0)),
+                                    None if support == [] else support,
                                     float(d.get("coupling", 0.0)))
     if d["model"] == "stealth":
         return StealthAttackConfig(float(d.get("sigma", 1.0)),

@@ -227,6 +227,8 @@ class PhaseScenario:
         elif not isinstance(self.attack_cfg,
                             (StealthAttackConfig, GaussianAttackConfig)):
             raise TypeError("attack_cfg must be a Stealth/GaussianAttackConfig")
+        if isinstance(self.attack_cfg, GaussianAttackConfig):
+            self.attack_cfg.check_states(self.system.n, "attack_model support")
 
     def default_recovery_tol(self) -> float:
         if self.recovery_tol is not None:

@@ -59,6 +59,8 @@ class ExperimentSpec:
     polish: bool = True
 
     def __post_init__(self):
+        if not (_real(self.dt) and self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be a positive number")
         if not (_real(self.p) and 0.0 <= self.p <= 1.0):
             raise ValueError("p must be a number in [0, 1]")
         if not (_real(self.attack_variance) and self.attack_variance > 0):
@@ -68,10 +70,13 @@ class ExperimentSpec:
         if self.sparse_support is not None:
             if self.attack_model != "gaussian":
                 raise ValueError("sparse_support needs the gaussian attack model")
-            if not all(_integer(i) for i in self.sparse_support):
-                raise ValueError("sparse_support entries must be integers")
+            if not all(_integer(i) and i >= 0 for i in self.sparse_support):
+                raise ValueError("sparse_support entries must be integers >= 0")
             object.__setattr__(self, "sparse_support",
                                tuple(int(i) for i in self.sparse_support))
+        if not (_real(self.history_coupling)
+                and 0.0 <= self.history_coupling < 1.0):
+            raise ValueError("history_coupling must be a number in [0, 1)")
         if not (_integer(self.trials) and self.trials >= 1):
             raise ValueError("trials must be an integer >= 1")
         if not _integer(self.seed):
@@ -195,6 +200,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if policy.kind != "zero" and system.m == 0:
         raise ValueError("input_xi > 0 needs a system with m >= 1")
     cfg = attack_config(spec)
+    if isinstance(cfg, GaussianAttackConfig):
+        cfg.check_states(system.n, "sparse_support")
 
     cells = tuple(c for k in range(spec.trials)
                   for c in _fit_trial(spec, system, policy, cfg, k))

@@ -286,8 +286,8 @@ class StealthAttackConfig:
             raise ValueError("sigma must be positive")
         if self.length_law not in LENGTH_LAWS:
             raise ValueError(f"length_law must be one of {LENGTH_LAWS}")
-        if not 0.0 <= self.history_coupling < 1.0:
-            raise ValueError("history_coupling must lie in [0,1)")
+        if not (_real(self.history_coupling) and 0.0 <= self.history_coupling < 1.0):
+            raise ValueError("history_coupling must be a number in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -306,12 +306,21 @@ class GaussianAttackConfig:
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise ValueError("variance must be positive")
         if self.support is not None:
+            if not (isinstance(self.support, (tuple, list))
+                    and all(_integer(i) and i >= 0 for i in self.support)):
+                raise ValueError("support must be a list of integers >= 0")
             sup = tuple(sorted(int(i) for i in self.support))
             if len(set(sup)) != len(sup) or not sup:
                 raise ValueError("support must be a nonempty set of indices")
             object.__setattr__(self, "support", sup)
-        if not 0.0 <= self.history_coupling < 1.0:
-            raise ValueError("history_coupling must lie in [0,1)")
+        if not (_real(self.history_coupling) and 0.0 <= self.history_coupling < 1.0):
+            raise ValueError("history_coupling must be a number in [0, 1)")
+
+    def check_states(self, n: int, key: str = "support") -> None:
+        """ValueError naming ``key`` unless every support index is below n."""
+        if self.support is not None and self.support[-1] >= n:
+            raise ValueError(f"{key} index {self.support[-1]} is out of range "
+                             f"for a system with {n} states")
 
 
 def _draw_length(cfg: StealthAttackConfig, rng) -> float:
@@ -504,6 +513,8 @@ def simulate(system: LtiSystem, policy: InputPolicy, schedule: AttackSchedule,
     sample = _SAMPLERS.get(type(attack_cfg))
     if attack_cfg is not None and sample is None:
         raise TypeError("attack_cfg must be a Stealth/GaussianAttackConfig")
+    if isinstance(attack_cfg, GaussianAttackConfig):
+        attack_cfg.check_states(n)
 
     T = schedule.T
     rng_u = substream(seed, "inputs")

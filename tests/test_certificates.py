@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustsysid import certificates
 from robustsysid.certificates import (
     _ball_feasible,
     ball_dual_value,
@@ -19,7 +20,12 @@ from robustsysid.certificates import (
     lemma2_condition,
     span_condition,
 )
-from robustsysid.estimators import least_squares, residual_matrix, solve_scalar_exact
+from robustsysid.estimators import (
+    fit,
+    least_squares,
+    residual_matrix,
+    solve_scalar_exact,
+)
 from robustsysid.experiments import ExperimentSpec, attack_config, resolve_system
 from robustsysid.lti import (
     AttackSchedule,
@@ -173,6 +179,23 @@ def test_ball_dual_identity():
         assert ball_dual_value(cols, G, Z) == pytest.approx(margin, rel=1e-6)
 
 
+def test_ball_feasible_stops_at_first_refuting_direction(monkeypatch):
+    # clearly infeasible: the dual test refutes it long before the first
+    # 500-step refine, which must therefore never run
+    rng = np.random.default_rng(11)
+    cols = rng.normal(0, 1, (6, 3))
+    G = rng.normal(0, 1, (2, 3)) * 10.0
+
+    def no_refine(*args):
+        raise AssertionError("_refine ran: no early exit before step 500")
+
+    monkeypatch.setattr(certificates, "_refine", no_refine)
+    verdict, margin, V, Z = _ball_feasible(cols, G, tol=1e-9)
+    assert verdict == "not-optimal" and V is None
+    assert ball_dual_value(cols, G, Z) == margin < 0.0
+    assert np.linalg.norm(Z) == pytest.approx(1.0)
+
+
 def test_ball_feasible_zero_columns():
     # all free regressors zero (e.g. only the t=0 row with x_0 = 0 escaped the
     # support): nothing is reachable, so any nonzero load is a refutation
@@ -272,6 +295,33 @@ def test_kkt_witnesses_reverify():
     # the dual value is the objective's directional derivative along -Z
     f0 = _objective(traj, A_ls)
     assert any(_objective(traj, A_ls - 10.0 ** -k * Z) < f0 for k in range(1, 12))
+
+
+# kkt_certificate verdicts on the certify benchmark's system (T = 50,
+# p = 0.7, seeds 0-2), per (seed, kind): truth, least squares, polished fit;
+# recorded before the solver stopped at the first refuting direction
+PINNED_VERDICTS = {
+    (0, "group-l2"): ("not-optimal", "not-optimal", "not-optimal"),
+    (0, "entry-l1"): ("not-optimal", "not-optimal", "optimal"),
+    (1, "group-l2"): ("optimal", "not-optimal", "optimal"),
+    (1, "entry-l1"): ("optimal", "not-optimal", "optimal"),
+    (2, "group-l2"): ("not-optimal", "not-optimal", "not-optimal"),
+    (2, "entry-l1"): ("optimal", "not-optimal", "optimal"),
+}
+
+
+def test_kkt_verdicts_pinned_on_certify_system():
+    system = random_stable_system(3, 0.7, seed=55)
+    got = {}
+    for seed in range(3):
+        traj = simulate(system, InputPolicy(), make_bernoulli(50, 0.7, seed),
+                        StealthAttackConfig(sigma=2.0), seed)
+        A_ls, _ = least_squares(traj)
+        for kind in ("group-l2", "entry-l1"):
+            A_fit = fit(traj, kind).A_hat
+            got[seed, kind] = tuple(kkt_certificate(traj, A, None, kind).verdict
+                                    for A in (system.A, A_ls, A_fit))
+    assert got == PINNED_VERDICTS
 
 
 def test_kkt_group_l2_insulin_truth_prefix():

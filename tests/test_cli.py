@@ -411,9 +411,17 @@ _SCENARIO = {"system": {"random-stable": {"n": 2, "rho": 0.5, "seed": 3}}}
     ({**_SCENARIO, "policy": {"kind": "iid-gaussian"}}, "'xi'"),
     ({"system": {"random-stable": {"rho": 0.5}}}, "'n'"),
     ([_SCENARIO], "sc.json"),
+    ({"attack_model": {"model": "gaussian", "support": [9]}}, "6 states"),
+    ({**_SCENARIO, "attack_model": {"model": "gaussian", "support": [-1]}},
+     "support"),
+    ({**_SCENARIO, "attack_model": {"model": "gaussian", "support": [0.5]}},
+     "support"),
+    ({**_SCENARIO, "attack_model": {"model": "gaussian", "support": 1}},
+     "support"),
 ], ids=["polish-no", "p-2", "delta-0", "delta-2.5", "solver-eta0",
         "attack-model-no-model", "policy-no-xi", "random-stable-no-n",
-        "list-file"])
+        "list-file", "support-9-of-6", "support-negative", "support-fraction",
+        "support-not-a-list"])
 def test_phase_cli_rejects_bad_scenario_value(capfd, tmp_path, monkeypatch,
                                               scenario, names):
     monkeypatch.chdir(tmp_path)
@@ -441,8 +449,16 @@ _SPEC = {"system_source": {"random-stable": {"n": 2, "rho": 0.6, "seed": 1}},
     ({**_SPEC, "trials": 2.5}, "trials"),
     ({**_SPEC, "system_source": {"random-stable": {"rho": 0.5}}}, "'n'"),
     ([_SPEC], "spec.json"),
+    ({**_SPEC, "sparse_support": [-1]}, "sparse_support"),
+    ({**_SPEC, "sparse_support": [2]}, "sparse_support index 2"),
+    ({**_SPEC, "dt": "0.5"}, "dt"),
+    ({**_SPEC, "dt": 0}, "dt"),
+    ({**_SPEC, "history_coupling": "x"}, "history_coupling"),
+    ({**_SPEC, "history_coupling": 1.0}, "history_coupling"),
 ], ids=["solver-warm-start", "polish-no", "T-fraction", "support-fraction",
-        "trials-fraction", "random-stable-no-n", "list-file"])
+        "trials-fraction", "random-stable-no-n", "list-file",
+        "support-negative", "support-2-of-2", "dt-string", "dt-zero",
+        "coupling-string", "coupling-1"])
 def test_experiment_cli_rejects_bad_spec(capfd, tmp_path, monkeypatch, spec,
                                          names):
     monkeypatch.chdir(tmp_path)
@@ -454,6 +470,25 @@ def test_experiment_cli_rejects_bad_spec(capfd, tmp_path, monkeypatch, spec,
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert names in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sparse, names", [
+    ("9", ("sparse_support index 9", "6 states")),
+    ("-1", ("sparse_support",)),
+], ids=["support-9-of-6", "support-negative"])
+def test_experiment_cli_rejects_bad_sparse(capfd, tmp_path, monkeypatch, sparse,
+                                           names):
+    # the default insulin system has 6 states
+    monkeypatch.chdir(tmp_path)
+    capfd.readouterr()
+    assert run("experiment", "--sparse", sparse, "--trials", "1",
+               "--out-dir", "out") == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(name in err[0] for name in names), err
     assert not (tmp_path / "out").exists()
 
 

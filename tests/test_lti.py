@@ -166,6 +166,23 @@ def test_gaussian_attack_support():
     assert np.any(D[np.array(sched.times)][:, [3, 5]] != 0.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"support": (-1,)}, {"support": (0.5,)}, {"support": 1},
+    {"history_coupling": "x"},
+], ids=["support-negative", "support-fraction", "support-int",
+        "coupling-string"])
+def test_gaussian_attack_rejects_bad_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        GaussianAttackConfig(**bad)
+
+
+def test_gaussian_attack_support_beyond_states():
+    sysd = LtiSystem(np.diag([0.5, 0.4]))
+    cfg = GaussianAttackConfig(support=(0, 2))
+    with pytest.raises(ValueError, match="support index 2 .* 2 states"):
+        simulate(sysd, InputPolicy(), make_bernoulli(10, 0.5, seed=1), cfg, 1)
+
+
 def test_stealth_direction_isotropy():
     # empirical mean ~ 0 and covariance ~ I/n for the unit directions
     rng = substream(123, "directions")
