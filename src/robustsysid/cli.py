@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from .estimators import SolverConfig, estimation_error, fit
 from .experiments import (emit_plot_data, run_experiment, spec_from_dict,
                           spec_to_dict, system_from_source)
 from .lti import (AttackSchedule, GaussianAttackConfig, InputPolicy,
-                  StealthAttackConfig, _require, load_system_json,
+                  StealthAttackConfig, _real, _require, load_system_json,
                   load_trajectory_csv, make_bernoulli, make_delta_spaced,
                   save_system_json, save_trajectory_csv, simulate)
 
@@ -80,19 +81,29 @@ def _load_object(path: str, what: str) -> dict:
 # shared config resolution
 
 
+def _number(key: str, value) -> float:
+    """``value`` as a float; ValueError naming ``key`` unless it is a real
+    number (a string such as "0.5" is not)."""
+    if not _real(value):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _attack_from_cfg(d):
     if d is None:
         return None
     _require(d, "attack_model", "model")
     if d["model"] == "gaussian":
         support = d.get("support")
-        return GaussianAttackConfig(float(d.get("variance", 10.0)),
-                                    None if support == [] else support,
-                                    float(d.get("coupling", 0.0)))
+        return GaussianAttackConfig(
+            _number("variance", d.get("variance", 10.0)),
+            None if support == [] else support,
+            _number("coupling", d.get("coupling", 0.0)))
     if d["model"] == "stealth":
-        return StealthAttackConfig(float(d.get("sigma", 1.0)),
-                                   d.get("length_law", "gaussian"),
-                                   float(d.get("coupling", 0.0)))
+        return StealthAttackConfig(
+            _number("sigma", d.get("sigma", 1.0)),
+            d.get("length_law", "gaussian"),
+            _number("coupling", d.get("coupling", 0.0)))
     raise ValueError(f"unrecognized attack model: {d['model']!r}")
 
 
@@ -104,10 +115,11 @@ def _policy_from_cfg(d):
         return InputPolicy()
     if d["kind"] == "iid-gaussian":
         _require(d, "an iid-gaussian policy", "xi")
-        return InputPolicy("iid-gaussian", float(d["xi"]))
+        return InputPolicy("iid-gaussian", _number("xi", d["xi"]))
     if d["kind"] == "feedback":
         _require(d, "a feedback policy", "xi", "K_fb")
-        return InputPolicy("feedback", float(d["xi"]), np.asarray(d["K_fb"]))
+        return InputPolicy("feedback", _number("xi", d["xi"]),
+                           np.asarray(d["K_fb"]))
     raise ValueError(f"unrecognized input policy: {d['kind']!r}")
 
 
@@ -242,7 +254,7 @@ def _scenario_from_cfg(d: dict, seed: int) -> PhaseScenario:
     the defaults."""
     d = dict(d)
     system = system_from_source(d.pop("system", "hovorka-default"),
-                                float(d.pop("dt", 0.5)), seed)
+                                _number("dt", d.pop("dt", 0.5)), seed)
     return PhaseScenario(system=system,
                          attack_cfg=_attack_from_cfg(d.pop("attack_model", None)),
                          policy=_policy_from_cfg(d.pop("policy", None)),
@@ -274,6 +286,12 @@ def _run_experiment(cfg: dict) -> HandlerOutput:
     paths = emit_plot_data(result, cfg["out_dir"])
     print(f"experiment: wrote {len(paths)} files under {cfg['out_dir']}",
           file=sys.stderr)
+    for kind in spec.estimators:
+        counts = Counter(c.stop_reason for c in result.cells
+                         if c.estimator == kind)
+        print(f"experiment: {kind} stop reasons: "
+              + " ".join(f"{r}={counts[r]}" for r in sorted(counts)),
+              file=sys.stderr)
     inputs = (cfg["spec_file"],) if cfg.get("spec_file") else ()
     return HandlerOutput("", inputs, tuple(str(p) for p in paths))
 

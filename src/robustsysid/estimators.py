@@ -6,9 +6,10 @@ same sum with ||.||_1. Both are convex and non-smooth; large residuals enter
 linearly, so sparse-in-time attacks are absorbed by the residual instead of
 biasing (A, B). ``fit`` is the one entry point for every kind and picks the
 solver: least squares in closed form; a sum-of-norms fit of a scalar
-autonomous trajectory exactly, as a weighted median; everything else by
-iteratively reweighted least squares (IRLS), then an optional certified
-refit that jumps from a near-solution to the exact minimizer. The
+autonomous trajectory exactly, as a weighted median; a warm start that the
+KKT certificate proves optimal as it is; everything else by iteratively
+reweighted least squares (IRLS), then an optional certified refit that
+jumps from a near-solution to the exact minimizer. The
 diminishing-step subgradient solver ``solve_subgradient``, whose step size is
 its own argument, is the reference the IRLS fits are tested against.
 """
@@ -243,7 +244,9 @@ def _start(traj: Trajectory, kind: str, cfg: SolverConfig, theta0=None):
             raise ValueError(f"theta0 must have shape {shape}, got {theta.shape}")
     else:
         theta = _lstsq(Z, Y, 0)
-    if not math.isfinite(_norm_sum(Y - Z @ theta, kind)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        start_obj = _norm_sum(Y - Z @ theta, kind)
+    if not math.isfinite(start_obj):
         raise RuntimeError("objective is not finite at the starting point")
     stop_tol = cfg.tol
     if stop_tol is None:
@@ -510,6 +513,26 @@ def polish_estimate(traj: Trajectory, A0, B0=None, kind: str = "group-l2",
         iterations_used=0, trace=((0, obj_cur),), kind=kind, stop_reason=stop)
 
 
+def _certified_start(traj: Trajectory, kind: str, config, theta0):
+    """The warm start as solve_irls would return it unmoved, with stop_reason
+    "warm-certified", when kkt_certificate proves it a minimizer; else None.
+
+    Validates ``theta0`` as solve_irls does (same ValueError and
+    RuntimeError), so a start that passes is finite.
+    """
+    from .certificates import kkt_certificate
+    kind, Z, Y, theta, _ = _start(traj, kind, config or SolverConfig(), theta0)
+    R = Y - Z @ theta
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.einsum("ij,ij->i", R, R)).all():
+            return None  # the certificate's row norms would overflow
+    A_hat, B_hat = _split(theta, traj.n, traj.m)
+    if kkt_certificate(traj, A_hat, B_hat, kind).verdict != "optimal":
+        return None
+    obj = _norm_sum(R, kind)
+    return _finish(traj, kind, theta, obj, 0, [(0, obj)], "warm-certified")
+
+
 def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
         polish: bool = True, theta0=None) -> EstimationResult:
     """Fit (A, B) with the solver that suits ``kind`` and the data.
@@ -517,12 +540,16 @@ def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
     Least squares is solved in closed form (objective nan, stop_reason
     "closed-form") and a sum-of-norms fit of a scalar autonomous trajectory
     exactly by solve_scalar_exact (stop_reason "exact"); both report 0
-    iterations and ignore the other arguments. Anything else runs
-    solve_irls with ``config`` from ``theta0`` or least squares, then with
-    ``polish`` the exact refit of its support once, kept only when its
-    objective is strictly lower; the result reports the IRLS iteration
-    count. Raises RuntimeError when the objective or stop tolerance is not
-    finite at the start, or when an IRLS step fails.
+    iterations and ignore the other arguments. Anything else first checks a
+    given ``theta0`` with kkt_certificate: a warm start it proves optimal is
+    returned as is (stop_reason "warm-certified", 0 iterations, whatever
+    ``config`` and ``polish`` say). Otherwise it runs solve_irls with
+    ``config`` from ``theta0`` or least squares, then with ``polish`` the
+    exact refit of its support once, kept only when its objective is
+    strictly lower; the result reports the IRLS iteration count. Raises
+    ValueError when ``theta0`` has the wrong shape, and RuntimeError when
+    the objective or stop tolerance is not finite at the start, or when an
+    IRLS step fails.
     """
     kind = canonical_kind(kind)
     if kind == "least-squares":
@@ -533,6 +560,10 @@ def fit(traj: Trajectory, kind: str, config: SolverConfig | None = None,
         A_hat, B_hat = np.array([[exact.a_hat]]), None
         obj, stop = exact.objective, "exact"
     else:
+        if theta0 is not None:
+            warm = _certified_start(traj, kind, config, theta0)
+            if warm is not None:
+                return warm
         res = solve_irls(traj, kind, config, theta0)
         if polish:
             pol = polish_estimate(traj, res.A_hat, res.B_hat, kind)

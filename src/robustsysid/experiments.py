@@ -137,6 +137,7 @@ class CellRecord(NamedTuple):
     diverged: bool
     A_hat: np.ndarray
     B_hat: np.ndarray | None
+    stop_reason: str  # the fit's stop_reason; "diverged" for a failed fit
 
 
 class AggregateRow(NamedTuple):
@@ -176,13 +177,13 @@ def _fit_trial(spec: ExperimentSpec, system: LtiSystem, policy: InputPolicy,
                 warm[kind] = None
                 cells.append(CellRecord(trial, T, kind, math.nan, math.nan, 0,
                                         True, np.full_like(system.A, math.nan),
-                                        None))
+                                        None, "diverged"))
                 continue
             warm[kind] = res.theta()
             err = estimation_error(res.A_hat, system.A, res.B_hat, system.B)
             cells.append(CellRecord(trial, T, kind, err, res.objective,
                                     res.iterations_used, False,
-                                    res.A_hat, res.B_hat))
+                                    res.A_hat, res.B_hat, res.stop_reason))
     return cells
 
 

@@ -418,10 +418,20 @@ _SCENARIO = {"system": {"random-stable": {"n": 2, "rho": 0.5, "seed": 3}}}
      "support"),
     ({**_SCENARIO, "attack_model": {"model": "gaussian", "support": 1}},
      "support"),
+    ({**_SCENARIO, "attack_model": {"model": "gaussian", "coupling": "0.5"}},
+     "coupling"),
+    ({**_SCENARIO, "attack_model": {"model": "gaussian", "variance": "10"}},
+     "variance"),
+    ({**_SCENARIO, "attack_model": {"model": "stealth", "sigma": "2"}},
+     "sigma"),
+    ({"system": {"random-stable": {"n": 2, "rho": 0.5, "seed": 3, "m": 1}},
+      "policy": {"kind": "iid-gaussian", "xi": "1"}}, "xi"),
+    ({**_SCENARIO, "dt": "0.5"}, "dt"),
 ], ids=["polish-no", "p-2", "delta-0", "delta-2.5", "solver-eta0",
         "attack-model-no-model", "policy-no-xi", "random-stable-no-n",
         "list-file", "support-9-of-6", "support-negative", "support-fraction",
-        "support-not-a-list"])
+        "support-not-a-list", "coupling-string", "variance-string",
+        "sigma-string", "xi-string", "dt-string"])
 def test_phase_cli_rejects_bad_scenario_value(capfd, tmp_path, monkeypatch,
                                               scenario, names):
     monkeypatch.chdir(tmp_path)
@@ -492,14 +502,25 @@ def test_experiment_cli_rejects_bad_sparse(capfd, tmp_path, monkeypatch, sparse,
     assert not (tmp_path / "out").exists()
 
 
-def test_experiment_cli_with_overrides(tmp_path, monkeypatch):
+def test_experiment_cli_with_overrides(capfd, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     spec = {"system_source": {"random-stable": {"n": 2, "rho": 0.6, "seed": 1, "m": 1}},
             "input_xi": 1.0, "T_checkpoints": [40, 80], "trials": 1,
             "solver": {"max_iters": 300}}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
+    capfd.readouterr()
     assert run("experiment", "--spec", "spec.json", "--p", "0.2",
                "--trials", "2", "--seed", "7", "--out-dir", "out") == 0
+    out, err = capfd.readouterr()
+    assert out == ""
+    # one stop-reason line per estimator, counting its 2 x 2 cells
+    err = err.splitlines()
+    assert len(err) == 4 and err[0].startswith("experiment: wrote 4 files")
+    assert err[1] == "experiment: least-squares stop reasons: closed-form=4"
+    for line, kind in zip(err[2:], ("group-l2", "entry-l1")):
+        head, counts = line.split(" stop reasons: ")
+        assert head == f"experiment: {kind}"
+        assert sum(int(c.split("=")[1]) for c in counts.split()) == 4
     manifest = json.loads((tmp_path / "out" / "run.manifest.json").read_text())
     assert manifest["config"]["spec"]["p"] == 0.2
     assert manifest["config"]["spec"]["trials"] == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustsysid import estimators
 from robustsysid.certificates import kkt_certificate
 from robustsysid.estimators import (
     EstimationResult,
@@ -449,3 +450,103 @@ def test_irls_never_above_subgradient_and_certifies(n, m, rho, p, T, seed,
     if kkt_certificate(traj, sysd.A, B, kind).verdict == "optimal":
         cert = kkt_certificate(traj, irls.A_hat, irls.B_hat, kind)
         assert cert.verdict == "optimal", irls.stop_reason
+
+
+# ---------------------------------------------------------------------------
+# warm starts that certify optimal skip IRLS
+
+
+@pytest.mark.parametrize("kind", ["group-l2", "entry-l1"])
+def test_fit_warm_start_certified_skips_irls(monkeypatch, kind):
+    _, traj = _attacked_traj(T=200)
+    res = fit(traj.prefix(150), kind)
+    theta0 = res.theta()
+
+    def no_irls(*args, **kwargs):
+        raise AssertionError("IRLS ran from a certified warm start")
+
+    monkeypatch.setattr(estimators, "solve_irls", no_irls)
+    warm = fit(traj, kind, theta0=theta0)
+    assert warm.stop_reason == "warm-certified"
+    assert warm.iterations_used == 0 and warm.trace == ((0, warm.objective),)
+    assert np.array_equal(warm.A_hat, theta0.T)
+    assert warm.objective == objective(traj, warm.A_hat, kind=kind)
+    assert kkt_certificate(traj, warm.A_hat, None, kind).verdict == "optimal"
+
+
+@pytest.mark.parametrize("kind", ["group-l2", "entry-l1"])
+def test_fit_uncertified_warm_start_runs_irls(kind):
+    # least squares is not optimal here, so the least-squares warm start
+    # runs the same IRLS and polish as the cold fit
+    _, traj = _attacked_traj()
+    A_ls, _ = least_squares(traj)
+    assert kkt_certificate(traj, A_ls, None, kind).verdict != "optimal"
+    warm = fit(traj, kind, theta0=A_ls.T)
+    cold = fit(traj, kind)
+    assert warm.stop_reason == cold.stop_reason != "warm-certified"
+    assert warm.iterations_used == cold.iterations_used > 0
+    assert np.array_equal(warm.A_hat, cold.A_hat)
+    assert warm.objective == cold.objective and warm.trace == cold.trace
+
+
+@pytest.mark.parametrize("kind", ["group-l2", "entry-l1"])
+def test_fit_rejects_bad_warm_start(kind):
+    sysd, traj = _attacked_traj(T=60)
+    with pytest.raises(ValueError, match="theta0 must have shape"):
+        fit(traj, kind, theta0=np.zeros((5, 3)))
+    for bad in (math.nan, math.inf):
+        theta0 = sysd.A.T.copy()
+        theta0[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="not finite at the starting"):
+                fit(traj, kind, theta0=theta0)
+
+
+def test_fit_does_not_certify_an_overflowing_warm_start():
+    # entry-l1 residuals of 1e200 keep the objective finite, but their
+    # squared row norms overflow and kkt_certificate would read every row as
+    # clean and call the start optimal; IRLS runs from it instead
+    sysd, traj = _attacked_traj()
+    theta0 = sysd.A.T.copy()
+    theta0[0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit(traj, "entry-l1", theta0=theta0)
+    assert res.stop_reason != "warm-certified" and res.iterations_used > 0
+    assert np.linalg.norm(res.A_hat - sysd.A) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 3), m=st.integers(0, 1), rho=st.floats(0.3, 0.8),
+       p=st.floats(0.1, 0.7), T=st.integers(15, 80),
+       seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["group-l2", "entry-l1"]),
+       start=st.sampled_from(["truth", "least-squares", "perturbed"]))
+def test_warm_fit_never_above_cold_fit(n, m, rho, p, T, seed, kind, start):
+    # a "warm-certified" fit is a certified minimizer, so it ends no higher
+    # than the cold fit; any other warm fit is IRLS from the warm start and
+    # ends no higher than that start. (Warm and cold IRLS runs are not
+    # ordered: IRLS can stop short of the minimum from either start.)
+    sysd = random_stable_system(n, rho, seed=seed, m=m)
+    policy = InputPolicy("iid-gaussian", 1.0) if m else InputPolicy()
+    traj = simulate(sysd, policy, make_bernoulli(T, p, seed),
+                    StealthAttackConfig(sigma=2.0), seed)
+    if start == "least-squares":
+        A0, B0 = least_squares(traj)
+    else:
+        A0, B0 = sysd.A, sysd.B
+        if start == "perturbed":
+            rng = np.random.default_rng(seed)
+            A0 = A0 + 1e-3 * rng.standard_normal(A0.shape)
+            B0 = B0 + 1e-3 * rng.standard_normal(B0.shape)
+    theta0 = np.vstack([A0.T, B0.T]) if m else A0.T
+    cold = fit(traj, kind, SolverConfig(max_iters=3000))
+    warm = fit(traj, kind, SolverConfig(max_iters=3000), theta0=theta0)
+    if warm.stop_reason == "warm-certified":
+        cert = kkt_certificate(traj, warm.A_hat, warm.B_hat, kind)
+        assert cert.verdict == "optimal"
+        assert warm.objective <= cold.objective + 1e-9 * (1.0 + cold.objective)
+    else:
+        start_obj = objective(traj, A0, B0 if m else None, kind)
+        assert warm.objective <= start_obj + 1e-9 * (1.0 + start_obj)

@@ -128,8 +128,9 @@ def test_run_experiment_cells_consistent():
 def _assert_cells_equal(xs, ys):
     assert len(xs) == len(ys)
     for a, b in zip(xs, ys):
-        assert (a.trial, a.T, a.estimator, a.iterations, a.diverged) == \
-               (b.trial, b.T, b.estimator, b.iterations, b.diverged)
+        assert (a.trial, a.T, a.estimator, a.iterations, a.diverged,
+                a.stop_reason) == (b.trial, b.T, b.estimator, b.iterations,
+                                   b.diverged, b.stop_reason)
         assert (a.error == b.error) or (math.isnan(a.error) and math.isnan(b.error))
         assert np.array_equal(np.asarray(a.A_hat), np.asarray(b.A_hat), equal_nan=True)
 
@@ -172,6 +173,7 @@ def test_run_experiment_divergence_recorded(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", alternating)
     res = run_experiment(_small_spec(estimators=("l2",)))
     assert res.cells and all(c.diverged for c in res.cells)
+    assert all(c.stop_reason == "diverged" for c in res.cells)
     assert all(math.isnan(c.error) for c in res.cells)
     assert len(calls) == 2 * len(res.cells)
     for row in res.aggregates:
@@ -226,3 +228,17 @@ def test_insulin_entry_l1_not_above_truth():
         assert not cells[T].diverged
         assert cells[T].objective <= truth * (1.0 + 1e-12), T
     assert all(c.iterations < spec.solver.max_iters for c in res.cells)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_insulin_long_horizons_are_warm_certified(seed):
+    # past the recovery horizon each checkpoint's minimizer is the previous
+    # one's, so every robust refit from T = 585 on returns its certified
+    # warm start without running IRLS
+    spec = ExperimentSpec(p=0.6, trials=1, seed=seed)
+    res = run_experiment(spec)
+    for c in res.cells:
+        if c.estimator == "least-squares":
+            assert c.stop_reason == "closed-form"
+        elif c.T >= 585:
+            assert (c.stop_reason, c.iterations) == ("warm-certified", 0), c.T
