@@ -226,6 +226,34 @@ def _lstsq(Z: np.ndarray, Y: np.ndarray, step: int) -> np.ndarray:
             f"least squares failed at iteration {step}: {exc}") from exc
 
 
+def _l1_step(Z: np.ndarray, Y: np.ndarray, w: np.ndarray, buf: np.ndarray,
+             step: int) -> np.ndarray:
+    """Entry-l1 IRLS coefficients: column j least-squares fits Y[:, j] on Z
+    with row t weighted by w[t, j] (w of shape (T, n)).
+
+    Fills ``buf`` (shape (n, T, d + 1)) with the blocks [Z w_j | y_j w_j]
+    and solves all n fits from one batched QR of them. When T < d or a
+    diagonal of R shows rank deficiency, fits each column by ``lstsq``
+    instead, which returns the minimum-norm solution. Raises RuntimeError
+    naming ``step`` when a factorization fails.
+    """
+    T, d = Z.shape
+    np.multiply(Z, w.T[:, :, None], out=buf[:, :, :d])
+    np.multiply(Y.T, w.T, out=buf[:, :, d])
+    if T >= d:
+        try:
+            R = np.linalg.qr(buf, mode="r")
+            diag = np.abs(np.diagonal(R[:, :d, :d], axis1=1, axis2=2))
+            rank_tol = np.finfo(float).eps * T * diag.max(axis=1)
+            if not (diag <= rank_tol[:, None]).any():
+                return np.linalg.solve(R[:, :d, :d], R[:, :d, d:])[:, :, 0].T
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                f"least squares failed at iteration {step}: {exc}") from exc
+    return np.column_stack([_lstsq(buf[j, :, :d], buf[j, :, d], step)
+                            for j in range(buf.shape[0])])
+
+
 def _start(traj: Trajectory, kind: str, cfg: SolverConfig, theta0=None):
     """Regressors, starting coefficients and stop tolerance of a solver.
 
@@ -371,12 +399,15 @@ def solve_irls(traj: Trajectory, kind: str = "group-l2",
     Each step solves a weighted least-squares problem whose weights come
     from the current residuals: row t gets 1/max(||r_t||_2, eps) for
     group-l2 (Weiszfeld's weights), entry (t, l) gets 1/max(|r_tl|, eps) for
-    entry-l1 (one weighted solve per state coordinate). The smoothing eps
-    starts at the median residual norm and halves every step down to 1e-14,
-    so clean rows gain weight as their residuals shrink and attacked rows
-    lose it (Daubechies, DeVore, Fornasier & Guentuerk, CPAM 2010; Beck &
-    Sabach, JOTA 2015). Each step is an ``lstsq`` on sqrt-weighted rows:
-    the normal equations turn singular once the weights blow up.
+    entry-l1 (a separate weighted fit per state coordinate). The smoothing
+    eps starts at the median residual norm (the mean when more than half the
+    rows fit exactly) and halves every step down to 1e-14, so clean rows
+    gain weight as their residuals shrink and attacked rows lose it
+    (Daubechies, DeVore, Fornasier & Guentuerk, CPAM 2010; Beck & Sabach,
+    JOTA 2015). Each step works on sqrt-weighted rows, never the normal
+    equations, which turn singular once the weights blow up: group-l2 by
+    one ``lstsq``, entry-l1 by one batched QR of the per-coordinate blocks
+    (``_l1_step``).
 
     Starts from least squares, or from ``theta0``. Returns the best iterate
     seen, with the trace on the grid solve_subgradient uses. Stops on best
@@ -397,7 +428,12 @@ def solve_irls(traj: Trajectory, kind: str = "group-l2",
     R = Y - Z @ theta
     best_obj = _norm_sum(R, kind)
     best_theta = theta
-    eps = max(float(np.median(sizes(R))), _EPS_FLOOR)
+    eps = float(np.median(sizes(R)))
+    if eps <= _EPS_FLOOR:
+        # more than half the rows fit exactly: a floor start would end the
+        # run in one stall window, before the other rows are down-weighted
+        eps = max(float(sizes(R).mean()), _EPS_FLOOR)
+    buf = None if l2 else np.empty((traj.n, Z.shape[0], Z.shape[1] + 1))
     trace = [(0, best_obj)]
     log_at = _log_points(cfg.max_iters)
     stop = "max-iters"
@@ -414,9 +450,7 @@ def solve_irls(traj: Trajectory, kind: str = "group-l2",
             if l2:
                 theta = _lstsq(Z * w[:, None], Y * w[:, None], k + 1)
             else:
-                theta = np.column_stack([
-                    _lstsq(Z * w[:, [j]], Y[:, j] * w[:, j], k + 1)
-                    for j in range(traj.n)])
+                theta = _l1_step(Z, Y, w, buf, k + 1)
             R = Y - Z @ theta
             obj = _norm_sum(R, kind)
             if not math.isfinite(obj):
@@ -522,14 +556,10 @@ def _certified_start(traj: Trajectory, kind: str, config, theta0):
     """
     from .certificates import kkt_certificate
     kind, Z, Y, theta, _ = _start(traj, kind, config or SolverConfig(), theta0)
-    R = Y - Z @ theta
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.einsum("ij,ij->i", R, R)).all():
-            return None  # the certificate's row norms would overflow
     A_hat, B_hat = _split(theta, traj.n, traj.m)
     if kkt_certificate(traj, A_hat, B_hat, kind).verdict != "optimal":
         return None
-    obj = _norm_sum(R, kind)
+    obj = _norm_sum(Y - Z @ theta, kind)
     return _finish(traj, kind, theta, obj, 0, [(0, obj)], "warm-certified")
 
 

@@ -1,6 +1,7 @@
 """Certificate tests: Farkas feasibility, dual nets, KKT checks, thresholds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,34 @@ def test_ball_feasible_zero_columns():
         assert ball_dual_value(cols, G, Z) == pytest.approx(margin)
 
 
+def test_ball_feasible_stops_at_first_feasible_refinement(monkeypatch):
+    # feasible by construction with unit columns, so the min-norm
+    # least-squares start leaves the ball and projected gradient runs; the
+    # run ends with the first refined copy that solves the system, at a dual
+    # check before the 500-step refine
+    rng = np.random.default_rng(1)
+    cols = rng.normal(0, 1, (8, 3))
+    V0 = rng.normal(0, 1, (2, 8))
+    G = (V0 / np.linalg.norm(V0, axis=0)) @ cols
+    Vt, *_ = np.linalg.lstsq(cols.T, G.T, rcond=None)
+    assert np.linalg.norm(Vt, axis=1).max() > 1.0
+    refine = certificates._refine
+    refined = []
+
+    def counted(*args):
+        refined.append(refine(*args))
+        return refined[-1]
+
+    monkeypatch.setattr(certificates, "_refine", counted)
+    verdict, margin, V, Z = _ball_feasible(cols, G, tol=1e-8)
+    assert verdict == "optimal" and Z is None
+    assert 1 <= len(refined) < 500 // certificates.DUAL_CHECK_EVERY
+    assert V is refined[-1]
+    assert all(np.linalg.norm(W @ cols - G) > 1e-8 for W in refined[:-1])
+    assert np.max(np.linalg.norm(V, axis=0)) <= 1.0 + 1e-12
+    assert margin == np.linalg.norm(V @ cols - G) <= 1e-8
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 100_000), st.integers(2, 3), st.integers(1, 8),
        st.integers(1, 4))
@@ -373,6 +402,20 @@ def test_kkt_rejects_non_finite_candidate(kind):
             M[which][0, 0] = bad
             with pytest.raises(ValueError, match="finite"):
                 kkt_certificate(traj, M["A"], M["B"], kind)
+
+
+def test_kkt_does_not_certify_overflowing_row_norms():
+    # entry-l1 residuals of 1e200 have squares that overflow; the row norms
+    # stay finite, so the huge rows pin coordinate 0 and refute the candidate
+    sysd = random_stable_system(3, 0.7, seed=55)
+    traj = simulate(sysd, InputPolicy(), make_bernoulli(120, 0.5, 7),
+                    StealthAttackConfig(sigma=2.0), 7)
+    A_hat = sysd.A.copy()
+    A_hat[0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = kkt_certificate(traj, A_hat, None, "entry-l1")
+    assert cert.verdict != "optimal"
 
 
 def test_kkt_rejects_ls_kind():

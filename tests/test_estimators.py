@@ -406,24 +406,89 @@ def test_irls_rejects_non_finite_start():
 ])
 def test_irls_step_failures_raise_runtime_error(monkeypatch, kind, fault,
                                                 message):
-    # every lstsq after the least-squares start fails or returns
-    # non-finite coefficients
+    # every step's factorization fails or returns non-finite factors: the
+    # lstsq of a group-l2 step (every lstsq after the least-squares start)
+    # or the batched QR of an entry-l1 step
     _, traj = _attacked_traj(T=40)
-    lstsq = np.linalg.lstsq
+    name = "lstsq" if kind == "group-l2" else "qr"
+    original = getattr(np.linalg, name)
     calls = []
 
-    def patched(a, b, rcond=None):
+    def patched(*args, **kwargs):
         calls.append(None)
-        x, *rest = lstsq(a, b, rcond=rcond)
-        if len(calls) > 1:
-            if fault == "raise":
-                raise np.linalg.LinAlgError("SVD did not converge")
-            x = np.full_like(x, np.nan)
-        return (x, *rest)
+        out = original(*args, **kwargs)
+        if name == "lstsq" and len(calls) == 1:
+            return out  # the least-squares start
+        if fault == "raise":
+            raise np.linalg.LinAlgError("SVD did not converge")
+        if name == "qr":
+            return np.full_like(out, np.nan)
+        return (np.full_like(out[0], np.nan), *out[1:])
 
-    monkeypatch.setattr(np.linalg, "lstsq", patched)
+    monkeypatch.setattr(np.linalg, name, patched)
     with pytest.raises(RuntimeError, match=message):
         solve_irls(traj, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3, 6]), m=st.integers(0, 1),
+       T=st.integers(15, 300), seed=st.integers(0, 10_000),
+       log_eps=st.floats(-8.0, 0.0))
+def test_l1_step_matches_per_column_lstsq(n, m, T, seed, log_eps):
+    # the batched entry-l1 step against n separate lstsq fits on the same
+    # IRLS weights, eps from the median residual down to 1e-8 of it
+    sysd = random_stable_system(n, 0.7, seed=seed, m=m)
+    policy = InputPolicy("iid-gaussian", 1.0) if m else InputPolicy()
+    traj = simulate(sysd, policy, make_bernoulli(T, 0.5, seed),
+                    StealthAttackConfig(sigma=2.0), seed)
+    Z, Y = estimators._regressors(traj)
+    R = np.abs(Y - Z @ np.linalg.lstsq(Z, Y, rcond=None)[0])
+    w = 1.0 / np.sqrt(np.maximum(R, float(np.median(R)) * 10.0 ** log_eps))
+    buf = np.empty((n, T, Z.shape[1] + 1))
+    got = estimators._l1_step(Z, Y, w, buf, 1)
+    want = np.column_stack([
+        np.linalg.lstsq(Z * w[:, [j]], Y[:, j] * w[:, j], rcond=None)[0]
+        for j in range(n)])
+    assert got.shape == want.shape
+    assert np.all(np.linalg.norm(got - want, axis=0)
+                  <= 1e-12 * np.linalg.norm(want, axis=0))
+
+
+def test_l1_step_rank_deficient_takes_minimum_norm_fallback(monkeypatch):
+    # an input column that is identically zero leaves R singular: every
+    # step fits each column by lstsq, whose minimum-norm solution keeps B at 0
+    sysd = random_stable_system(2, 0.6, seed=3, m=1)
+    traj = simulate(sysd, InputPolicy(), make_bernoulli(60, 0.4, 3),
+                    StealthAttackConfig(sigma=2.0), 3)
+    assert traj.m == 1 and not traj.inputs.any()
+    lstsq = estimators._lstsq
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return lstsq(*args)
+
+    monkeypatch.setattr(estimators, "_lstsq", counted)
+    res = solve_irls(traj, "entry-l1")
+    assert res.iterations_used > 0
+    assert len(calls) == 1 + traj.n * res.iterations_used
+    assert np.all(res.B_hat == 0.0)
+    assert np.linalg.norm(res.A_hat - sysd.A) <= 1e-9
+
+
+def test_irls_eps_starts_above_floor_when_most_rows_fit():
+    # the truth fits more than half the rows exactly, so the median residual
+    # is 0; eps starts at the mean residual and IRLS from the truth reaches
+    # the cold fit's certified minimum instead of stalling at once
+    sysd = random_stable_system(2, 0.5, seed=2)
+    traj = simulate(sysd, InputPolicy(), make_bernoulli(15, 0.25, 2),
+                    StealthAttackConfig(sigma=2.0), 2)
+    cold = fit(traj, "group-l2")
+    assert cold.stop_reason == "polish-certified"
+    assert cold.objective == pytest.approx(7.014503, abs=1e-6)
+    warm = fit(traj, "group-l2", theta0=sysd.A.T)
+    assert warm.stop_reason != "warm-certified" and warm.iterations_used > 5
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
